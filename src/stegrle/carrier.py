@@ -26,9 +26,9 @@ def synthetic_carrier(
     """Zero image with a filled disk of blob_value; safe to embed into.
 
     The disk defaults to the image centre with radius min(width, height)//5.
-    A solid disk of radius >= 1 never produces isolated nonzero pixels, so
-    the result always passes validate_carrier; a final check guards the
-    degenerate geometries anyway.
+    A disk is no guarantee: one that the image clips to a lone pixel, as in a
+    1x1 image, is flagged by validate_carrier, so a final check raises
+    AmbiguousCarrier for such geometries.
     """
     if width < 1 or height < 1:
         raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")

@@ -63,13 +63,14 @@ def _message_from_args(args: argparse.Namespace) -> bytes:
     return message
 
 
+def _fmt_float(value: float, spec: str) -> str:
+    """Format a finite value by spec; an infinite one (PSNR of equal images) as Infinity."""
+    return "Infinity" if math.isinf(value) else format(value, spec)
+
+
 def _fmt_metric(value: float) -> str:
     """Render a metric the way the quality table does: 0, Infinity, or 4 decimals."""
-    if math.isinf(value):
-        return "Infinity"
-    if value == 0:
-        return "0"
-    return f"{value:.4f}"
+    return "0" if value == 0 else _fmt_float(value, ".4f")
 
 
 def cmd_gen_carrier(args: argparse.Namespace) -> int:
@@ -163,7 +164,7 @@ def _write_pipeline_csv(path: str, result) -> None:
             ("carrier vs stego", result.stego_quality),
             ("carrier vs restored", result.restored_quality),
         ):
-            psnr = "Infinity" if math.isinf(quality.psnr) else f"{quality.psnr:.6f}"
+            psnr = _fmt_float(quality.psnr, ".6f")
             writer.writerow(["quality", label, "", f"{quality.mse:.6f}", psnr])
 
 

@@ -8,11 +8,15 @@ The PGM writer always emits the same canonical byte stream for a given
 image: the exact header ``P5\\n<width> <height>\\n255\\n`` followed by the
 raw raster, no comments. That makes encodings byte-reproducible and lets
 round-trip tests compare files directly. The reader is more liberal and
-accepts binary P5 and ASCII P2 with ``#`` comments in the header.
+accepts binary P5 and ASCII P2 with ``#`` comments in the header (and
+between P2 samples), but, as the Netpbm spec asks, only decimal digits for
+numbers and no sample above maxval.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,7 @@ from .errors import MalformedHeader, RectOutOfBounds, TruncatedData, Unsupported
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\n]*")
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,13 @@ def _scan_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _header_int(token: bytes, name: str) -> int:
+    """Parse ASCII decimal digits only; int() alone also takes signs and underscores."""
     try:
-        value = int(token)
-    except ValueError:
-        raise MalformedHeader(f"PGM {name} is not a number: {token!r}") from None
-    return value
+        if token.isdigit():
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise MalformedHeader(f"PGM {name} is not a number: {token!r}")
 
 
 def read_pgm(data: bytes) -> np.ndarray:
@@ -126,21 +133,18 @@ def read_pgm(data: bytes) -> np.ndarray:
         raster = data[pos + 1 : pos + 1 + count]
         if len(raster) < count:
             raise TruncatedData(f"expected {count} pixel bytes, found {len(raster)}")
-        pixels = np.frombuffer(raster, dtype=np.uint8, count=count).copy()
+        samples = np.frombuffer(raster, dtype=np.uint8, count=count)
     else:
-        values = []
-        while len(values) < count:
-            try:
-                token, pos = _scan_token(data, pos)
-            except MalformedHeader:
-                raise TruncatedData(
-                    f"expected {count} pixel values, found {len(values)}"
-                ) from None
-            values.append(_header_int(token, "pixel"))
-        if any(v < 0 or v > 255 for v in values):
-            raise MalformedHeader("pixel value outside 0..255")
-        pixels = np.asarray(values, dtype=np.uint8)
-    return pixels.reshape(height, width)
+        # split line by line: one split() of the whole raster would hold a
+        # bytes object per sample at once, several times the image's size
+        lines = _COMMENT.sub(b"", data[pos:]).splitlines()
+        tokens = itertools.islice((t for line in lines for t in line.split()), count)
+        samples = np.array([_header_int(token, "pixel") for token in tokens])
+        if samples.size < count:
+            raise TruncatedData(f"expected {count} pixel values, found {samples.size}")
+    if samples.max() > maxval:
+        raise MalformedHeader(f"pixel value above maxval {maxval}")
+    return samples.astype(np.uint8).reshape(height, width)
 
 
 def write_pgm(img: np.ndarray) -> bytes:

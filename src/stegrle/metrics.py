@@ -35,16 +35,16 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return int(np.sum(diff * diff)) / a.size
 
 
+def _psnr_of_mse(error: float) -> float:
+    return math.inf if error == 0 else 10.0 * math.log10(PEAK * PEAK / error)
+
+
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """10*log10(255^2 / mse) in decibels; infinite for identical images."""
-    error = mse(a, b)
-    if error == 0:
-        return math.inf
-    return 10.0 * math.log10(PEAK * PEAK / error)
+    return _psnr_of_mse(mse(a, b))
 
 
 def compare(a: np.ndarray, b: np.ndarray) -> QualityReport:
     """Both metrics at once."""
     error = mse(a, b)
-    ratio = math.inf if error == 0 else 10.0 * math.log10(PEAK * PEAK / error)
-    return QualityReport(mse=error, psnr=ratio)
+    return QualityReport(mse=error, psnr=_psnr_of_mse(error))

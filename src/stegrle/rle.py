@@ -6,21 +6,7 @@ Encoder output is canonical: adjacent runs never share a value, so a given
 image has exactly one encoding. The decoder does not rely on that and also
 accepts streams with adjacent equal runs.
 
-Container layout, all integers little-endian, no padding:
-
-    offset  size  field
-    ------  ----  -----------------------------
-    0       4     magic "SRLE"
-    4       1     format version, currently 1
-    5       4     image width   (u32)
-    9       4     image height  (u32)
-    13      4     run count k   (u32)
-    17      5*k   run records: value (u8), run length (u32)
-
-A container is therefore 17 + 5*k bytes and carries no trailing data; a
-constant 256x256 image costs 22 bytes. Run lengths are 32-bit because a
-single run can cover a whole image (65536 pixels at 256x256 already
-overflows 16 bits).
+The SRLE container's byte layout is specified in ``docs/srle-format.md``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ cannot be decoded faithfully.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,11 @@ class EmbedReport:
 
 def text_to_bytes(text: str) -> bytes:
     """Map each character to its code point; only 1..255 are embeddable."""
-    for ch in text:
-        if ord(ch) == 0:
-            raise NulCharacter("NUL cannot be hidden; zero marks an empty pixel")
-        if ord(ch) > 255:
-            raise NonLatinCharacter(f"character {ch!r} has no single-byte code")
+    bad = re.search(r"[\x00\u0100-\U0010ffff]", text)  # first character outside 1..255
+    if bad and bad[0] == "\x00":
+        raise NulCharacter("NUL cannot be hidden; zero marks an empty pixel")
+    if bad:
+        raise NonLatinCharacter(f"character {bad[0]!r} has no single-byte code")
     return text.encode("latin-1")
 
 
@@ -52,19 +53,41 @@ def bytes_to_text(message: bytes) -> str:
     return bytes(message).decode("latin-1")
 
 
-def _interior_all_zero_neighbours(img: np.ndarray) -> np.ndarray:
-    """Boolean mask of non-border pixels whose four neighbours are all zero."""
-    zero = img == 0
-    mask = np.zeros(img.shape, dtype=bool)
-    mask[1:-1, 1:-1] = (
-        zero[:-2, 1:-1] & zero[2:, 1:-1] & zero[1:-1, :-2] & zero[1:-1, 2:]
-    )
-    return mask
+def _quiet(img: np.ndarray) -> np.ndarray:
+    """Pixels whose in-bounds 4-neighbours are all zero; off-image counts as zero."""
+    zero = np.pad(img == 0, 1, constant_values=True)
+    return zero[:-2, 1:-1] & zero[2:, 1:-1] & zero[1:-1, :-2] & zero[1:-1, 2:]
 
 
-def _mask_sites(mask: np.ndarray) -> list[Site]:
-    """Row-major (x, y) coordinates of the true cells of a mask."""
-    return [(int(x), int(y)) for y, x in np.argwhere(mask)]
+def _mask_sites(mask: np.ndarray, x0: int = 0, y0: int = 0) -> list[Site]:
+    """Row-major (x, y) coordinates of the true cells of a mask whose top-left is (x0, y0)."""
+    ys, xs = np.nonzero(mask)
+    return list(zip((xs + x0).tolist(), (ys + y0).tolist()))
+
+
+def _candidates(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
+    """Embeddable-site mask of roi clipped to the interior, and its top-left (x, y)."""
+    img = as_gray(img)
+    check_rect(img, roi)
+    x0, y0 = max(roi.x0, 1), max(roi.y0, 1)
+    x1, y1 = min(roi.x1, img.shape[1] - 2), min(roi.y1, img.shape[0] - 2)
+    return (_quiet(img) & (img == 0))[y0 : y1 + 1, x0 : x1 + 1], x0, y0
+
+
+def _claimed(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
+    """Mask of the sites one embedding pass fills, over the _candidates window.
+
+    A candidate is claimed unless its left or upper neighbour was, so each row
+    claims the even offsets of every run of candidates the row above left free.
+    """
+    cand, x0, y0 = _candidates(img, roi)
+    claimed = np.zeros((cand.shape[0] + 1, cand.shape[1]), dtype=bool)  # row 0: none above
+    for y in np.flatnonzero(cand.any(axis=1)):
+        free = cand[y] & ~claimed[y]
+        count = np.cumsum(free)
+        place = count - np.maximum.accumulate(np.where(free, 0, count))  # 1-based in its run
+        claimed[y + 1] = place % 2 == 1
+    return claimed[1:], x0, y0
 
 
 def scan_candidates(img: np.ndarray, roi: Rect) -> list[Site]:
@@ -73,51 +96,28 @@ def scan_candidates(img: np.ndarray, roi: Rect) -> list[Site]:
     A site's neighbours may lie outside the ROI; they only have to be inside
     the image and zero.
     """
-    img = as_gray(img)
-    check_rect(img, roi)
-    mask = _interior_all_zero_neighbours(img) & (img == 0)
-    box = np.zeros(img.shape, dtype=bool)
-    box[roi.y0 : roi.y1 + 1, roi.x0 : roi.x1 + 1] = True
-    return _mask_sites(mask & box)
+    return _mask_sites(*_candidates(img, roi))
 
 
 def validate_carrier(img: np.ndarray) -> list[Site]:
     """Sites the extractor would misread as hidden bytes, row-major.
 
     Flags every nonzero pixel whose in-bounds 4-neighbours are all zero,
-    border pixels included (their missing neighbours count as zero). An
-    empty list means the carrier is safe to embed into.
+    border pixels included (their missing neighbours count as zero). That is
+    stricter than ``extract`` needs, since it never reads the border. An empty
+    list means the carrier is safe to embed into.
     """
     img = as_gray(img)
-    zero = img == 0
-    neighbours_zero = np.ones(img.shape, dtype=bool)
-    neighbours_zero[1:, :] &= zero[:-1, :]
-    neighbours_zero[:-1, :] &= zero[1:, :]
-    neighbours_zero[:, 1:] &= zero[:, :-1]
-    neighbours_zero[:, :-1] &= zero[:, 1:]
-    return _mask_sites(~zero & neighbours_zero)
+    return _mask_sites(_quiet(img) & (img != 0))
 
 
 def embedding_sites(img: np.ndarray, roi: Rect) -> list[Site]:
     """Sites usable in one embedding pass, in the order bytes would fill them.
 
-    Walks the static candidates row-major and keeps a site only if none of
-    its neighbours was already claimed, mirroring how writes to the working
-    image disqualify adjacent sites. The list length is the true capacity.
+    Each write disqualifies its neighbours for later bytes, so the list length,
+    not the candidate count, is the true capacity.
     """
-    claimed: set[Site] = set()
-    sites = []
-    for x, y in scan_candidates(img, roi):
-        if (
-            (x - 1, y) in claimed
-            or (x + 1, y) in claimed
-            or (x, y - 1) in claimed
-            or (x, y + 1) in claimed
-        ):
-            continue
-        claimed.add((x, y))
-        sites.append((x, y))
-    return sites
+    return _mask_sites(*_claimed(img, roi))
 
 
 def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, EmbedReport]:
@@ -137,18 +137,19 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
             f"carrier has {len(ambiguous)} isolated nonzero pixel(s), "
             f"first at {ambiguous[0]}; extraction would misread them"
         )
-    sites = embedding_sites(img, roi)
-    if len(message) > len(sites):
+    claimed, x0, y0 = _claimed(img, roi)
+    capacity = int(np.count_nonzero(claimed))
+    if len(message) > capacity:
         raise CapacityExceeded(
-            f"message needs {len(message)} sites but ROI offers {len(sites)}",
-            capacity=len(sites),
+            f"message needs {len(message)} sites but ROI offers {capacity}",
+            capacity=capacity,
             needed=len(message),
         )
+    used = claimed & (np.cumsum(claimed).reshape(claimed.shape) <= len(message))
     stego = img.copy()
-    used = sites[: len(message)]
-    for (x, y), byte in zip(used, message):
-        stego[y, x] = byte
-    return stego, EmbedReport(sites=used, bytes_hidden=len(message), capacity=len(sites))
+    window = stego[y0 : y0 + used.shape[0], x0 : x0 + used.shape[1]]
+    window[used] = np.frombuffer(message, dtype=np.uint8)
+    return stego, EmbedReport(_mask_sites(used, x0, y0), len(message), capacity)
 
 
 def extract(stego: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -160,9 +161,8 @@ def extract(stego: np.ndarray) -> tuple[bytes, np.ndarray]:
     matches this returns an empty message and an unchanged copy.
     """
     stego = as_gray(stego)
-    mask = _interior_all_zero_neighbours(stego) & (stego != 0)
-    coords = np.argwhere(mask)
-    message = bytes(int(stego[y, x]) for y, x in coords)
+    mask = _quiet(stego) & (stego != 0)
+    mask[[0, -1], :] = mask[:, [0, -1]] = False
     restored = stego.copy()
     restored[mask] = 0
-    return message, restored
+    return stego[mask].tobytes(), restored

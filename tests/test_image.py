@@ -43,8 +43,9 @@ def test_read_minimal_p2():
 
 def test_read_p2_and_p5_agree():
     p5 = read_pgm(b"P5\n3 2\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
-    p2 = read_pgm(b"P2\n3 2\n255\n1 2 3\n4 5 6\n")
-    assert np.array_equal(p5, p2)
+    for p2_bytes in (b"P2\n3 2\n255\n1 2 3\n4 5 6\n", b"P2\n3 2\n255\n1 2 3 # row 0\n4 5#5\n6"):
+        p2 = read_pgm(p2_bytes)
+        assert np.array_equal(p5, p2)
 
 
 def test_read_header_comments():
@@ -73,8 +74,13 @@ def test_read_missing_fields():
 
 
 def test_read_non_numeric_dimension():
-    with pytest.raises(MalformedHeader):
-        read_pgm(b"P5\ntwo 1\n255\n\x00\x00")
+    for data in (
+        b"P5\ntwo 1\n255\n\x00\x00",
+        b"P5 1_0 1 2_55\n" + bytes(10),
+        b"P5 +2 1 255\n\x00\x00",
+    ):
+        with pytest.raises(MalformedHeader):
+            read_pgm(data)
 
 
 def test_read_zero_dimension():
@@ -88,8 +94,9 @@ def test_read_high_maxval_rejected():
 
 
 def test_read_p2_value_out_of_range():
-    with pytest.raises(MalformedHeader):
-        read_pgm(b"P2\n1 1\n255\n300\n")
+    for data in (b"P2\n1 1\n255\n300\n", b"P5 2 1 15\n\xff\xff"):
+        with pytest.raises(MalformedHeader):
+            read_pgm(data)
 
 
 @settings(max_examples=300)

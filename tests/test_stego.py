@@ -214,9 +214,11 @@ def test_embedding_sites_match_sequential_simulation():
     from oracles import brute_greedy_sites
 
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        h, w = rng.integers(3, 14, size=2)
-        img = (rng.integers(0, 5, size=(h, w)) == 0).astype(np.uint8) * 9
+    for case in range(600):
+        # after 200 cases: 1-row and 1-column images too, one pixel in 1..11 nonzero
+        smallest, one_in = (3, 5) if case < 200 else (1, rng.integers(1, 12))
+        h, w = rng.integers(smallest, 14, size=2)
+        img = (rng.integers(0, one_in, size=(h, w)) == 0).astype(np.uint8) * 9
         x0, x1 = sorted(rng.integers(0, w, size=2))
         y0, y1 = sorted(rng.integers(0, h, size=2))
         assert embedding_sites(img, Rect(x0, y0, x1, y1)) == brute_greedy_sites(
