@@ -27,21 +27,26 @@ from .rle import deserialize, rle_decode, rle_encode, serialize
 from .stego import bytes_to_text, embed, extract, text_to_bytes
 
 IO_ERROR_EXIT = 3
+_SITES_SHOWN = 16  # embed prints this many sites, then how many more there are
+
+
+def _decimal(text: str) -> int:
+    """Parse an optional '-' and ASCII digits; int() also takes '_', '+' and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 def _roi_arg(text: str) -> Rect:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("roi must be x0,y0,x1,y1")
-    try:
-        x0, y0, x1, y1 = (int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"roi coordinates must be integers: {text!r}")
-    return Rect(x0, y0, x1, y1)
+    return Rect(*map(_decimal, parts))
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _decimal(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
@@ -94,7 +99,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
     save_pgm(args.out, stego)
     print(f"capacity: {report.capacity}")
     print(f"bytes hidden: {report.bytes_hidden}")
-    print("sites:", " ".join(f"{x},{y}" for x, y in report.sites))
+    more = len(report.sites) - _SITES_SHOWN
+    shown = " ".join(f"{x},{y}" for x, y in report.sites[:_SITES_SHOWN])
+    print("sites:", shown + (f" ... ({more} more)" if more > 0 else ""))
     return 0
 
 
@@ -212,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--width", type=_positive_int, default=256)
     p.add_argument("--height", type=_positive_int, default=256)
-    p.add_argument("--blob-cx", type=int, default=None, help="blob centre column")
-    p.add_argument("--blob-cy", type=int, default=None, help="blob centre row")
-    p.add_argument("--blob-radius", type=int, default=None)
-    p.add_argument("--blob-value", type=int, default=200)
+    p.add_argument("--blob-cx", type=_decimal, default=None, help="blob centre column")
+    p.add_argument("--blob-cy", type=_decimal, default=None, help="blob centre row")
+    p.add_argument("--blob-radius", type=_decimal, default=None)
+    p.add_argument("--blob-value", type=_decimal, default=200)
     p.set_defaults(func=cmd_gen_carrier)
 
     p = sub.add_parser("embed", help="hide a message in a carrier image")

@@ -8,12 +8,11 @@ each with one message byte. Because a written byte is nonzero, it
 disqualifies its own neighbours for later bytes, so eligibility is always
 judged against the working image, not the untouched carrier.
 
-The receiver needs no key and no ROI: any non-border pixel that is nonzero
-while its whole 4-neighbourhood is zero is read back as a message byte and
-reset to zero. For that inversion to be exact the carrier must not already
-contain pixels matching this pattern; ``validate_carrier`` finds them and
-``embed`` refuses such carriers instead of producing a stego image that
-cannot be decoded faithfully.
+The receiver needs no key and no ROI: every non-border nonzero pixel whose
+four neighbours are zero is read back as a message byte and reset to zero.
+The inversion is exact only if the carrier holds no such pixel, so
+``validate_carrier`` lists exactly those and ``embed`` refuses a carrier
+that has any.
 """
 
 from __future__ import annotations
@@ -54,12 +53,17 @@ def bytes_to_text(message: bytes) -> str:
 
 
 def _quiet(img: np.ndarray) -> np.ndarray:
-    """Pixels whose in-bounds 4-neighbours are all zero; off-image counts as zero."""
-    zero = np.pad(img == 0, 1, constant_values=True)
+    """Mask over img[1:-1, 1:-1]: interior pixels whose four neighbours are all zero."""
+    zero = img == 0
     return zero[:-2, 1:-1] & zero[2:, 1:-1] & zero[1:-1, :-2] & zero[1:-1, 2:]
 
 
-def _mask_sites(mask: np.ndarray, x0: int = 0, y0: int = 0) -> list[Site]:
+def _hidden(img: np.ndarray) -> np.ndarray:
+    """Mask over img[1:-1, 1:-1] of the pixels extract reads: nonzero and quiet."""
+    return _quiet(img) & (img[1:-1, 1:-1] != 0)
+
+
+def _mask_sites(mask: np.ndarray, x0: int, y0: int) -> list[Site]:
     """Row-major (x, y) coordinates of the true cells of a mask whose top-left is (x0, y0)."""
     ys, xs = np.nonzero(mask)
     return list(zip((xs + x0).tolist(), (ys + y0).tolist()))
@@ -71,7 +75,8 @@ def _candidates(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
     check_rect(img, roi)
     x0, y0 = max(roi.x0, 1), max(roi.y0, 1)
     x1, y1 = min(roi.x1, img.shape[1] - 2), min(roi.y1, img.shape[0] - 2)
-    return (_quiet(img) & (img == 0))[y0 : y1 + 1, x0 : x1 + 1], x0, y0
+    window = img[y0 - 1 : y1 + 2, x0 - 1 : x1 + 2]  # the clipped roi and its neighbours
+    return _quiet(window) & (window[1:-1, 1:-1] == 0), x0, y0
 
 
 def _claimed(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
@@ -100,15 +105,13 @@ def scan_candidates(img: np.ndarray, roi: Rect) -> list[Site]:
 
 
 def validate_carrier(img: np.ndarray) -> list[Site]:
-    """Sites the extractor would misread as hidden bytes, row-major.
+    """Sites ``extract`` would misread as hidden bytes, row-major.
 
-    Flags every nonzero pixel whose in-bounds 4-neighbours are all zero,
-    border pixels included (their missing neighbours count as zero). That is
-    stricter than ``extract`` needs, since it never reads the border. An empty
-    list means the carrier is safe to embed into.
+    These are exactly the pixels ``extract`` reads: non-border, nonzero, with
+    all four neighbours zero. An empty list means the carrier is safe to
+    embed into.
     """
-    img = as_gray(img)
-    return _mask_sites(_quiet(img) & (img != 0))
+    return _mask_sites(_hidden(as_gray(img)), 1, 1)
 
 
 def embedding_sites(img: np.ndarray, roi: Rect) -> list[Site]:
@@ -161,8 +164,7 @@ def extract(stego: np.ndarray) -> tuple[bytes, np.ndarray]:
     matches this returns an empty message and an unchanged copy.
     """
     stego = as_gray(stego)
-    mask = _quiet(stego) & (stego != 0)
-    mask[[0, -1], :] = mask[:, [0, -1]] = False
+    mask = _hidden(stego)
     restored = stego.copy()
-    restored[mask] = 0
-    return stego[mask].tobytes(), restored
+    restored[1:-1, 1:-1][mask] = 0
+    return stego[1:-1, 1:-1][mask].tobytes(), restored

@@ -29,7 +29,7 @@ def brute_candidates(img, x0, y0, x1, y1):
 
 
 def brute_isolated_nonzero(img):
-    """Extraction predicate over the whole interior, row-major."""
+    """Extraction predicate over the whole interior, row-major; also the carrier check."""
     grid = as_grid(img)
     height, width = len(grid), len(grid[0])
     sites = []
@@ -51,25 +51,6 @@ def brute_extract(img):
         message.append(grid[y][x])
         grid[y][x] = 0
     return bytes(message), grid
-
-
-def brute_ambiguous(img):
-    """Carrier check: nonzero pixels whose in-bounds neighbours are all zero."""
-    grid = as_grid(img)
-    height, width = len(grid), len(grid[0])
-    sites = []
-    for y in range(height):
-        for x in range(width):
-            if grid[y][x] == 0:
-                continue
-            neighbours = ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
-            if all(
-                grid[ny][nx] == 0
-                for nx, ny in neighbours
-                if 0 <= nx < width and 0 <= ny < height
-            ):
-                sites.append((x, y))
-    return sites
 
 
 def brute_greedy_sites(img, x0, y0, x1, y1):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stegrle.cli import main
-from stegrle.image import load_pgm, save_pgm, write_pgm
+from stegrle.image import Rect, load_pgm, save_pgm, write_pgm
 from stegrle.rle import rle_encode, serialize
+from stegrle.stego import embed
 
 
 @pytest.fixture
@@ -64,6 +65,17 @@ def test_embed_extract_round_trip(tmp_path, capsys, carrier_pgm):
     assert "verify mse: 0" in out
     assert "verify psnr: Infinity" in out
     assert np.array_equal(load_pgm(restored), load_pgm(carrier_pgm))
+
+
+def test_embed_prints_the_first_sixteen_sites(tmp_path, capsys, carrier_pgm):
+    code, out, _ = run(
+        capsys, "embed", "--in", carrier_pgm, "--out", tmp_path / "stego.pgm",
+        "--roi", "1,1,60,60", "--message", "x" * 20,
+    )
+    assert code == 0
+    _, report = embed(load_pgm(carrier_pgm), Rect(1, 1, 60, 60), b"x" * 20)
+    shown = " ".join(f"{x},{y}" for x, y in report.sites[:16])
+    assert f"\nsites: {shown} ... (4 more)\n" in out
 
 
 def test_embed_allow_empty_is_identity(tmp_path, capsys, carrier_pgm):
@@ -302,9 +314,32 @@ def test_ambiguous_carrier_exit(tmp_path, capsys):
 
 
 def test_roi_argument_validation(capsys, carrier_pgm, tmp_path):
-    with pytest.raises(SystemExit) as exit_info:
-        main([
-            "embed", "--in", str(carrier_pgm), "--out", str(tmp_path / "s.pgm"),
-            "--roi", "1,2,3", "--message", "x",
-        ])
-    assert exit_info.value.code == 2
+    # int() would read "1_0" as 10 and the Arabic-Indic digit one as 1
+    for roi in ("1,2,3", "1_0,1,5,5", "\u0661,1,5,5"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "embed", "--in", str(carrier_pgm), "--out", str(tmp_path / "s.pgm"),
+                "--roi", roi, "--message", "x",
+            ])
+        assert exit_info.value.code == 2
+
+
+def test_negative_roi_corner_reaches_rect_check(capsys, carrier_pgm, tmp_path):
+    code, _, err = run(
+        capsys, "embed", "--in", carrier_pgm, "--out", tmp_path / "s.pgm",
+        "--roi=-1,0,5,5", "--message", "x",
+    )
+    assert code == 13
+    assert "error: RectOutOfBounds" in err
+
+
+def test_integer_options_take_ascii_digits_only(capsys, tmp_path):
+    for option, value in (
+        ("--width", "1_0"), ("--width", "\u0661\u0660"), ("--width", "+10"), ("--width", "0"),
+        ("--blob-radius", "1_0"), ("--blob-cx", "\u0663\u0662"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gen-carrier", "--out", str(tmp_path / "c.pgm"), option, value])
+        assert exit_info.value.code == 2
+    code, _, _ = run(capsys, "gen-carrier", "--out", tmp_path / "c.pgm", "--blob-cx", "-4")
+    assert code == 0

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_ambiguous, brute_candidates, brute_extract
+from oracles import brute_candidates, brute_extract, brute_isolated_nonzero
+from stegrle.carrier import synthetic_carrier
 from stegrle.errors import (
     AmbiguousCarrier,
     CapacityExceeded,
@@ -33,7 +34,7 @@ def zeros(h, w):
 
 @st.composite
 def sparse_carriers(draw):
-    """Zero images with a few solid dominoes; always a valid carrier."""
+    """Zero images with a few solid dominoes and border pixels; always a valid carrier."""
     width = draw(st.integers(3, 20))
     height = draw(st.integers(3, 20))
     img = np.zeros((height, width), dtype=np.uint8)
@@ -42,6 +43,11 @@ def sparse_carriers(draw):
         y = draw(st.integers(0, height - 1))
         img[y, x] = draw(st.integers(1, 255))
         img[y, x + 1] = draw(st.integers(1, 255))
+    for _ in range(draw(st.integers(0, 3))):  # extract never reads the border
+        y = draw(st.integers(0, height - 1))
+        edge_row = y in (0, height - 1)
+        x = draw(st.integers(0, width - 1) if edge_row else st.sampled_from([0, width - 1]))
+        img[y, x] = draw(st.integers(1, 255))
     return img
 
 
@@ -157,15 +163,19 @@ def test_validate_solid_block_is_clean():
     assert validate_carrier(img) == []
 
 
-def test_validate_flags_lone_border_pixel():
+def test_validate_ignores_lone_border_pixel():
     img = zeros(4, 4)
     img[0, 0] = 3
-    assert validate_carrier(img) == [(0, 0)]
+    assert validate_carrier(img) == []
+    stego, _ = embed(img, Rect(0, 0, 3, 3), b"AB")
+    message, restored = extract(stego)
+    assert message == b"AB"
+    assert np.array_equal(restored, img)
 
 
 @given(sparse_carriers())
 def test_validate_matches_brute_force(img):
-    assert validate_carrier(img) == brute_ambiguous(img)
+    assert validate_carrier(img) == brute_isolated_nonzero(img)
 
 
 def test_validate_matches_brute_force_on_noise():
@@ -173,7 +183,21 @@ def test_validate_matches_brute_force_on_noise():
     for _ in range(100):
         h, w = rng.integers(1, 10, size=2)
         img = rng.integers(0, 3, size=(h, w)).astype(np.uint8)
-        assert validate_carrier(img) == brute_ambiguous(img)
+        assert validate_carrier(img) == brute_isolated_nonzero(img)
+
+
+def test_synthetic_carrier_is_clean_for_every_geometry():
+    # every third blob centre, from 4 px off-image on each side, phase shifted by radius
+    for width in range(1, 12):
+        for height in range(1, 12):
+            for radius in range(1, 8):
+                for cx in range(-4 + radius % 3, width + 5, 3):
+                    for cy in range(-4 + radius % 3, height + 5, 3):
+                        img = synthetic_carrier(
+                            width, height, blob_cx=cx, blob_cy=cy, blob_radius=radius
+                        )
+                        assert validate_carrier(img) == []
+                        assert extract(img)[0] == b""
 
 
 # --- embedding ---
@@ -331,8 +355,6 @@ def test_stego_damage_is_exactly_the_message(case):
 @settings(max_examples=150, deadline=None)
 @given(carrier_roi_message())
 def test_extraction_order_matches_embedding_order(case):
-    from oracles import brute_isolated_nonzero
-
     img, roi, message = case
     stego, report = embed(img, roi, message)
     # carrier is clean, so every extraction match is a written site
