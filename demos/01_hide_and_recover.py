@@ -39,7 +39,8 @@ message = text_to_bytes(tag)
 print(f"hiding {tag!r} as {list(message)}")
 
 stego, report = embed(carrier, roi, message)
-print(f"bytes hidden: {report.bytes_hidden} at sites {report.sites}")
+# The carrier was clean, so the isolated nonzero pixels now are the written sites.
+print(f"bytes hidden: {report.bytes_hidden} at sites {validate_carrier(stego)}")
 print("pixels changed:", int((stego != carrier).sum()))
 
 # The receiver needs no key, no ROI, nothing but the image: every isolated

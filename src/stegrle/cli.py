@@ -24,7 +24,7 @@ from .image import Rect, load_pgm, save_pgm, write_pgm
 from .metrics import compare
 from .pipeline import PHASES, run_pipeline
 from .rle import deserialize, rle_decode, rle_encode, serialize
-from .stego import bytes_to_text, embed, extract, text_to_bytes
+from .stego import bytes_to_text, embed, extract, text_to_bytes, validate_carrier
 
 IO_ERROR_EXIT = 3
 _SITES_SHOWN = 16  # embed prints this many sites, then how many more there are
@@ -99,8 +99,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
     save_pgm(args.out, stego)
     print(f"capacity: {report.capacity}")
     print(f"bytes hidden: {report.bytes_hidden}")
-    more = len(report.sites) - _SITES_SHOWN
-    shown = " ".join(f"{x},{y}" for x, y in report.sites[:_SITES_SHOWN])
+    sites = validate_carrier(stego)  # the sites embed wrote, in order
+    more = len(sites) - _SITES_SHOWN
+    shown = " ".join(f"{x},{y}" for x, y in sites[:_SITES_SHOWN])
     print("sites:", shown + (f" ... ({more} more)" if more > 0 else ""))
     return 0
 

@@ -28,6 +28,12 @@ GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
+# whitespace and comments, then a token; a skipped comment must reach its
+# newline, so backtracking cannot cut one short and return its tail as a token
+_TOKEN = re.compile(
+    rb"(?:[%s]|%s(?![^\n]))*([^%s#]+)"
+    % (re.escape(_WHITESPACE), _COMMENT.pattern, re.escape(_WHITESPACE))
+)
 
 
 @dataclass(frozen=True)
@@ -80,21 +86,10 @@ def check_rect(img: np.ndarray, roi: Rect) -> None:
 
 def _scan_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Return the next whitespace-delimited header token, skipping # comments."""
-    n = len(data)
-    while True:
-        while pos < n and data[pos] in _WHITESPACE:
-            pos += 1
-        if pos < n and data[pos] == ord("#"):
-            while pos < n and data[pos] != ord("\n"):
-                pos += 1
-            continue
-        break
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
-        pos += 1
-    if start == pos:
+    token = _TOKEN.match(data, pos)
+    if not token:
         raise MalformedHeader("PGM header ended early")
-    return data[start:pos], pos
+    return token[1], token.end()
 
 
 def _header_int(token: bytes, name: str) -> int:

@@ -64,18 +64,20 @@ def rle_encode(img: np.ndarray) -> RunLengthStream:
     )
 
 
+def _check_lengths(lengths: np.ndarray, width: int, height: int) -> None:
+    """Raise LengthMismatch unless every run is 1+ long and they cover width*height pixels."""
+    if lengths.size and int(lengths.min()) < 1:
+        raise LengthMismatch(f"run of length {int(lengths.min())}; runs must be at least 1 long")
+    total = int(lengths.sum())
+    if total != width * height:
+        raise LengthMismatch(f"run lengths sum to {total}, image needs {width * height} pixels")
+
+
 def rle_decode(stream: RunLengthStream) -> np.ndarray:
     """Expand a run-length stream back into the original image."""
-    total = int(np.sum(stream.lengths, dtype=np.int64))
-    expected = stream.width * stream.height
-    if total != expected:
-        raise LengthMismatch(
-            f"run lengths sum to {total}, image needs {expected} pixels"
-        )
-    flat = np.repeat(
-        np.asarray(stream.values, dtype=np.uint8),
-        np.asarray(stream.lengths, dtype=np.int64),
-    )
+    lengths = np.asarray(stream.lengths, dtype=np.int64)
+    _check_lengths(lengths, stream.width, stream.height)
+    flat = np.repeat(np.asarray(stream.values, dtype=np.uint8), lengths)
     return flat.reshape(stream.height, stream.width)
 
 
@@ -110,13 +112,7 @@ def deserialize(data: bytes) -> RunLengthStream:
         raise LengthMismatch(f"invalid dimensions {width}x{height}")
     records = np.frombuffer(data, dtype=RUN_DTYPE, count=count, offset=HEADER.size)
     lengths = records["length"].astype(np.int64)
-    if count and int(lengths.min()) < 1:
-        raise LengthMismatch("zero-length run")
-    total = int(lengths.sum())
-    if total != width * height:
-        raise LengthMismatch(
-            f"run lengths sum to {total}, image needs {width * height} pixels"
-        )
+    _check_lengths(lengths, width, height)
     return RunLengthStream(
         width=width,
         height=height,

@@ -30,16 +30,18 @@ Site = tuple[int, int]
 
 @dataclass(frozen=True)
 class EmbedReport:
-    """What an embed run did: sites written, byte count, and room available."""
+    """What an embed run did: bytes written and room available.
 
-    sites: list[Site]
+    The sites written, in order, are ``validate_carrier(stego)``.
+    """
+
     bytes_hidden: int
     capacity: int
 
 
 def text_to_bytes(text: str) -> bytes:
     """Map each character to its code point; only 1..255 are embeddable."""
-    bad = re.search(r"[\x00\u0100-\U0010ffff]", text)  # first character outside 1..255
+    bad = re.search(r"[^\x01-\xff]", text)  # first character outside 1..255
     if bad and bad[0] == "\x00":
         raise NulCharacter("NUL cannot be hidden; zero marks an empty pixel")
     if bad:
@@ -152,7 +154,7 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
     stego = img.copy()
     window = stego[y0 : y0 + used.shape[0], x0 : x0 + used.shape[1]]
     window[used] = np.frombuffer(message, dtype=np.uint8)
-    return stego, EmbedReport(_mask_sites(used, x0, y0), len(message), capacity)
+    return stego, EmbedReport(len(message), capacity)
 
 
 def extract(stego: np.ndarray) -> tuple[bytes, np.ndarray]:

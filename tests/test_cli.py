@@ -4,7 +4,7 @@ import pytest
 from stegrle.cli import main
 from stegrle.image import Rect, load_pgm, save_pgm, write_pgm
 from stegrle.rle import rle_encode, serialize
-from stegrle.stego import embed
+from stegrle.stego import embedding_sites
 
 
 @pytest.fixture
@@ -73,8 +73,8 @@ def test_embed_prints_the_first_sixteen_sites(tmp_path, capsys, carrier_pgm):
         "--roi", "1,1,60,60", "--message", "x" * 20,
     )
     assert code == 0
-    _, report = embed(load_pgm(carrier_pgm), Rect(1, 1, 60, 60), b"x" * 20)
-    shown = " ".join(f"{x},{y}" for x, y in report.sites[:16])
+    sites = embedding_sites(load_pgm(carrier_pgm), Rect(1, 1, 60, 60))
+    shown = " ".join(f"{x},{y}" for x, y in sites[:16])
     assert f"\nsites: {shown} ... (4 more)\n" in out
 
 

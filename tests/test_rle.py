@@ -83,8 +83,10 @@ def test_decode_constant_run():
 
 
 def test_decode_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        rle_decode(stream_of(2, 2, [(5, 3)]))
+    # a negative or zero-length run is refused as deserialize refuses it
+    for runs in ([(5, 3)], [(5, 5), (6, -1)], [(5, 4), (6, 0)]):
+        with pytest.raises(LengthMismatch):
+            rle_decode(stream_of(2, 2, runs))
 
 
 def test_decode_tolerates_non_canonical_runs():
