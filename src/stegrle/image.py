@@ -10,12 +10,12 @@ raw raster, no comments. That makes encodings byte-reproducible and lets
 round-trip tests compare files directly. The reader is more liberal and
 accepts binary P5 and ASCII P2 with ``#`` comments in the header (and
 between P2 samples), but, as the Netpbm spec asks, only decimal digits for
-numbers and no sample above maxval.
+numbers and no sample above maxval. A P2 raster is parsed by numpy over all
+its bytes at once, not by one Python call per sample.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -28,6 +28,7 @@ GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
+_IS_TOKEN = bytes(byte not in _WHITESPACE for byte in range(256))  # bytes.translate table
 # whitespace and comments, then a token; a skipped comment must reach its
 # newline, so backtracking cannot cut one short and return its tail as a token
 _TOKEN = re.compile(
@@ -102,6 +103,46 @@ def _header_int(token: bytes, name: str) -> int:
     raise MalformedHeader(f"PGM {name} is not a number: {token!r}")
 
 
+def _p2_samples(raster: bytes, count: int) -> np.ndarray:
+    """The first count samples of a P2 raster, parsed by whole-array numpy operations.
+
+    Each byte gets the value of the token's last three digits up to it, read
+    off at the token's last byte. Longer tokens that are not just zero padding
+    and tokens with a non-digit go through _header_int, in file order.
+    """
+    # three separators in front let every byte look three back; one behind ends the last token
+    text = b"   %b " % _COMMENT.sub(b"", raster)
+    token = np.frombuffer(text.translate(_IS_TOKEN), dtype=np.bool_)
+    digit = np.frombuffer(text, dtype=np.uint8) - ord("0")  # 10 or more for a non-digit
+    back = [slice(3 - k, token.size - 1 - k) for k in range(4)]  # bytes 3..n-2, shifted k back
+    value = np.zeros(token.size - 4, dtype=np.uint16)
+    odd = token[back[3]].copy()  # four bytes or more
+    for k in (2, 1, 0):  # Horner over the last three bytes, cut where the token starts
+        value *= 10
+        value += digit[back[k]]
+        odd |= digit[back[k]] > 9
+        if k:
+            value *= token[back[k]]
+            odd &= token[back[k]]
+    last = token[back[0]] & ~token[4:]  # the last byte of each token
+    value = np.compress(last, value)[:count]
+    odd = np.compress(last, odd)[:count]
+    if odd.any():
+        index = np.flatnonzero(odd)
+        start, stop = (np.flatnonzero(token[1:] != token[:-1]).reshape(-1, 2)[index] + 1).T
+        # zero padding keeps the value: only "0" before the last three bytes, which are digits;
+        # past 640 bytes, the fewest digits int() may be set to refuse, _header_int decides
+        other = np.cumsum(digit != 0, dtype=np.uint32)  # bytes other than "0" up to here
+        padded = (other[stop - 4] == other[start - 1]) & (stop - start <= 640)
+        for k in (1, 2, 3):
+            padded &= digit[stop - k] < 10
+        for i, a, b in zip(index[~padded], start[~padded], stop[~padded]):
+            value[i] = min(_header_int(text[a:b], "pixel"), 256)  # larger fails maxval the same
+    if value.size < count:
+        raise TruncatedData(f"expected {count} pixel values, found {value.size}")
+    return value
+
+
 def read_pgm(data: bytes) -> np.ndarray:
     """Parse P5 (binary) or P2 (ASCII) PGM bytes into a grayscale image."""
     data = bytes(data)
@@ -130,13 +171,7 @@ def read_pgm(data: bytes) -> np.ndarray:
             raise TruncatedData(f"expected {count} pixel bytes, found {len(raster)}")
         samples = np.frombuffer(raster, dtype=np.uint8, count=count)
     else:
-        # split line by line: one split() of the whole raster would hold a
-        # bytes object per sample at once, several times the image's size
-        lines = _COMMENT.sub(b"", data[pos:]).splitlines()
-        tokens = itertools.islice((t for line in lines for t in line.split()), count)
-        samples = np.array([_header_int(token, "pixel") for token in tokens])
-        if samples.size < count:
-            raise TruncatedData(f"expected {count} pixel values, found {samples.size}")
+        samples = _p2_samples(data[pos:], count)
     if samples.max() > maxval:
         raise MalformedHeader(f"pixel value above maxval {maxval}")
     return samples.astype(np.uint8).reshape(height, width)

@@ -31,8 +31,8 @@ def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared pixel difference, accumulated exactly before one division."""
     a, b = _pair(a, b)
-    diff = a.astype(np.int64) - b.astype(np.int64)
-    return int(np.sum(diff * diff)) / a.size
+    diff = np.subtract(a, b, dtype=np.int16)
+    return int(np.square(diff, dtype=np.int32).sum(dtype=np.int64)) / a.size
 
 
 def _psnr_of_mse(error: float) -> float:

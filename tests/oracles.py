@@ -107,6 +107,34 @@ def brute_mse(a, b):
     return total / count
 
 
+def brute_read_p2(raster, count):
+    """Reference P2 raster parse: the first count samples as ints, or the error's class name.
+
+    Drops each ``#`` comment up to (not including) its newline, splits on
+    the six ASCII whitespace bytes and converts token by token.
+    """
+    kept = bytearray()
+    in_comment = False
+    for byte in raster:
+        if byte == ord("#"):
+            in_comment = True
+        elif byte == ord("\n"):
+            in_comment = False
+        if not in_comment:
+            kept.append(byte)
+    samples = []
+    for token in bytes(kept).split()[:count]:
+        if not token.isdigit():
+            return "MalformedHeader"
+        try:
+            samples.append(int(token))
+        except ValueError:  # more digits than int() converts
+            return "MalformedHeader"
+    if len(samples) < count:
+        return "TruncatedData"
+    return samples
+
+
 def parse_container(data):
     """Independent SRLE parser; returns (width, height, [(value, length), ...]).
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import brute_read_p2
 from stegrle.errors import (
     MalformedHeader,
     RectOutOfBounds,
@@ -97,6 +99,72 @@ def test_read_p2_value_out_of_range():
     for data in (b"P2\n1 1\n255\n300\n", b"P5 2 1 15\n\xff\xff"):
         with pytest.raises(MalformedHeader):
             read_pgm(data)
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"P2 1 1 255 7 x", [[7]]),  # bytes after the last sample are not read
+        (b"P2 1 1 255 0000000255", [[255]]),
+        (b"P2 2 1 255 1 #c\r 9\n2", [[1, 2]]),  # a comment runs past \r to \n
+    ],
+    ids=["after-last-sample", "leading-zeros", "comment-past-cr"],
+)
+def test_read_p2_edge_cases(data, expected):
+    assert read_pgm(data).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "data, token",
+    [
+        (b"P2 3 1 255 1 + 2", b"+"),
+        (b"P2 1 1 255 " + b"0" * 4301, b"0" * 4301),  # more digits than int() converts
+    ],
+    ids=["sign", "4301-digits"],
+)
+def test_read_p2_names_the_first_bad_token(data, token):
+    with pytest.raises(MalformedHeader, match=re.escape(repr(token))):
+        read_pgm(data)
+
+
+p2_samples = st.integers(0, 255).map(lambda n: str(n).encode())
+p2_odd_tokens = st.one_of(
+    st.integers(0, 999).map(lambda n: str(n).encode()),
+    st.sampled_from([b"x", b"+1", b"-0", b"1_0", b"2a", b"\xd9\xa1", b"\x85", b"\x1c"]),
+    st.sampled_from([b"0" * 4, b"0" * 20, b"0" * 4301]),
+    st.tuples(st.sampled_from([1, 2, 636, 637, 638, 700]), st.integers(0, 999)).map(
+        lambda t: b"0" * t[0] + str(t[1]).encode()  # zero padding, either side of 640 bytes
+    ),
+    st.binary(min_size=1, max_size=4).map(lambda b: b"00" + b),  # padding, then anything
+    st.binary(min_size=1, max_size=3).map(lambda b: b"#" + b),  # a comment that may run on
+    st.sampled_from([b"#", b"#x\n", b"#x\r", b"#\r\n"]),
+)
+# mostly samples; "" glues two tokens into one
+p2_tokens = st.sampled_from([p2_samples] * 3 + [p2_odd_tokens] * 2).flatmap(lambda s: s)
+p2_separators = st.sampled_from(
+    [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b" \n", b""]
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.one_of(st.just(255), st.integers(1, 255)),
+    st.lists(st.tuples(p2_tokens, p2_separators), max_size=20),
+    st.binary(max_size=4),
+)
+def test_read_p2_matches_brute_force(width, height, maxval, pieces, trailing):
+    raster = b"\n" + b"".join(token + sep for token, sep in pieces) + trailing
+    expected = brute_read_p2(raster, width * height)
+    if isinstance(expected, list) and max(expected) > maxval:
+        expected = "MalformedHeader"
+    try:
+        img = read_pgm(b"P2 %d %d %d" % (width, height, maxval) + raster)
+    except (MalformedHeader, TruncatedData) as error:
+        assert type(error).__name__ == expected
+    else:
+        assert img.ravel().tolist() == expected
 
 
 @settings(max_examples=300)

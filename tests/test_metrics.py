@@ -39,6 +39,11 @@ def test_single_max_difference():
     assert psnr([[0]], [[255]]) == 0.0
 
 
+def test_mse_does_not_overflow_at_the_extreme():
+    white = np.full((2048, 2048), 255, dtype=np.uint8)
+    assert mse(white, np.zeros_like(white)) == 65025.0
+
+
 def test_stego_distortion_golden_value():
     a, b = tagged_image_pair()
     expected_sum = sum(v * v for v in PATIENT_BYTES)  # independent summation
