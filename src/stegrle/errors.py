@@ -117,6 +117,12 @@ class TrailingGarbage(StegRleError):
     exit_code = 22
 
 
+class PixelBudgetExceeded(StegRleError):
+    """Container declares more pixels than the decoder will allocate."""
+
+    exit_code = 25
+
+
 # --- metrics ---
 
 class DimensionMismatch(StegRleError):

@@ -10,8 +10,8 @@ raw raster, no comments. That makes encodings byte-reproducible and lets
 round-trip tests compare files directly. The reader is more liberal and
 accepts binary P5 and ASCII P2 with ``#`` comments in the header (and
 between P2 samples), but, as the Netpbm spec asks, only decimal digits for
-numbers and no sample above maxval. A P2 raster is parsed by numpy over all
-its bytes at once, not by one Python call per sample.
+numbers and no sample above maxval. A P2 raster is parsed by one
+``np.fromstring`` call, or token by token where that call would misread it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
-_IS_TOKEN = bytes(byte not in _WHITESPACE for byte in range(256))  # bytes.translate table
+_PLAIN = _WHITESPACE + b"0123456789"  # the bytes np.fromstring takes in a P2 raster
 # whitespace and comments, then a token; a skipped comment must reach its
 # newline, so backtracking cannot cut one short and return its tail as a token
 _TOKEN = re.compile(
@@ -104,43 +104,27 @@ def _header_int(token: bytes, name: str) -> int:
 
 
 def _p2_samples(raster: bytes, count: int) -> np.ndarray:
-    """The first count samples of a P2 raster, parsed by whole-array numpy operations.
+    """The first count samples of a P2 raster, refusing the first bad one in file order.
 
-    Each byte gets the value of the token's last three digits up to it, read
-    off at the token's last byte. Longer tokens that are not just zero padding
-    and tokens with a non-digit go through _header_int, in file order.
+    Digits and whitespace alone are parsed by one np.fromstring call; any
+    other raster, or one with a sample above 255, goes token by token
+    through _header_int, which names the first token it refuses.
     """
-    # three separators in front let every byte look three back; one behind ends the last token
-    text = b"   %b " % _COMMENT.sub(b"", raster)
-    token = np.frombuffer(text.translate(_IS_TOKEN), dtype=np.bool_)
-    digit = np.frombuffer(text, dtype=np.uint8) - ord("0")  # 10 or more for a non-digit
-    back = [slice(3 - k, token.size - 1 - k) for k in range(4)]  # bytes 3..n-2, shifted k back
-    value = np.zeros(token.size - 4, dtype=np.uint16)
-    odd = token[back[3]].copy()  # four bytes or more
-    for k in (2, 1, 0):  # Horner over the last three bytes, cut where the token starts
-        value *= 10
-        value += digit[back[k]]
-        odd |= digit[back[k]] > 9
-        if k:
-            value *= token[back[k]]
-            odd &= token[back[k]]
-    last = token[back[0]] & ~token[4:]  # the last byte of each token
-    value = np.compress(last, value)[:count]
-    odd = np.compress(last, odd)[:count]
-    if odd.any():
-        index = np.flatnonzero(odd)
-        start, stop = (np.flatnonzero(token[1:] != token[:-1]).reshape(-1, 2)[index] + 1).T
-        # zero padding keeps the value: only "0" before the last three bytes, which are digits;
-        # past 640 bytes, the fewest digits int() may be set to refuse, _header_int decides
-        other = np.cumsum(digit != 0, dtype=np.uint32)  # bytes other than "0" up to here
-        padded = (other[stop - 4] == other[start - 1]) & (stop - start <= 640)
-        for k in (1, 2, 3):
-            padded &= digit[stop - k] < 10
-        for i, a, b in zip(index[~padded], start[~padded], stop[~padded]):
-            value[i] = min(_header_int(text[a:b], "pixel"), 256)  # larger fails maxval the same
-    if value.size < count:
-        raise TruncatedData(f"expected {count} pixel values, found {value.size}")
-    return value
+    # np.fromstring reads blank text as [0] and, given count=, memory past the end; it
+    # saturates a huge token but reads a run of zeros too long for int() as 0, and
+    # 638 zeros and three digits make 641, one past the lowest limit int() may be set to
+    text = _COMMENT.sub(b"", raster).strip()
+    if text.translate(None, _PLAIN):  # a byte np.fromstring refuses: read no further than count
+        text = b" ".join(text.split(None, count)[:count])
+    plain = not text.translate(None, _PLAIN) and b"0" * 638 not in text
+    samples = np.fromstring(text, dtype=np.int64, sep=" ")[:count] if plain else None
+    if samples is None or samples.max(initial=0) > 255:
+        tokens = text.split(None, count)[:count]
+        # clamped to 256: any sample above 255 fails the maxval check the same
+        samples = np.array([min(_header_int(t, "pixel"), 256) for t in tokens], dtype=np.int64)
+    if samples.size < count:
+        raise TruncatedData(f"expected {count} pixel values, found {samples.size}")
+    return samples
 
 
 def read_pgm(data: bytes) -> np.ndarray:

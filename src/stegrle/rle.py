@@ -16,13 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, LengthMismatch, TrailingGarbage, Truncated, UnsupportedVersion
+from .errors import BadMagic, LengthMismatch, PixelBudgetExceeded, TrailingGarbage, Truncated
+from .errors import UnsupportedVersion
 from .image import as_gray
 
 MAGIC = b"SRLE"
 VERSION = 1
 HEADER = struct.Struct("<4sBIII")
 RUN_DTYPE = np.dtype([("value", "<u1"), ("length", "<u4")])
+# the most pixels a container may declare: 256 MiB of uint8, as Pillow's MAX_IMAGE_PIXELS
+MAX_PIXELS = 2**28
 
 
 @dataclass
@@ -65,12 +68,14 @@ def rle_encode(img: np.ndarray) -> RunLengthStream:
 
 
 def _check_lengths(lengths: np.ndarray, width: int, height: int) -> None:
-    """Raise LengthMismatch unless every run is 1+ long and they cover width*height pixels."""
+    """Raise unless every run is 1+ long and they cover width*height <= MAX_PIXELS pixels."""
     if lengths.size and int(lengths.min()) < 1:
         raise LengthMismatch(f"run of length {int(lengths.min())}; runs must be at least 1 long")
     total = int(lengths.sum())
     if total != width * height:
         raise LengthMismatch(f"run lengths sum to {total}, image needs {width * height} pixels")
+    if total > MAX_PIXELS:
+        raise PixelBudgetExceeded(f"{width}x{height} image has {total} pixels, over {MAX_PIXELS}")
 
 
 def rle_decode(stream: RunLengthStream) -> np.ndarray:

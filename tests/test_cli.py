@@ -211,6 +211,18 @@ def test_decompress_length_mismatch_exit(tmp_path, capsys):
     assert "error: LengthMismatch" in err
 
 
+def test_decompress_pixel_budget_exit(tmp_path, capsys):
+    # 22 bytes declaring 65535x65535 pixels in one run
+    body = b"SRLE\x01" + (65535).to_bytes(4, "little") * 2 + (1).to_bytes(4, "little")
+    body += bytes([0]) + (65535 * 65535).to_bytes(4, "little")
+    bomb = tmp_path / "bomb.srle"
+    bomb.write_bytes(body)
+    code, _, err = run(capsys, "decompress", "--in", bomb, "--out", tmp_path / "o.pgm")
+    assert code == 25
+    assert "error: PixelBudgetExceeded" in err
+    assert not (tmp_path / "o.pgm").exists()
+
+
 # --- metrics ---
 
 def test_metrics_identical_files(capsys, zero_pgm):

@@ -61,8 +61,9 @@ def test_read_truncated_p5():
 
 
 def test_read_truncated_p2():
-    with pytest.raises(TruncatedData):
-        read_pgm(b"P2\n2 2\n255\n1 2 3")
+    for data in (b"P2\n2 2\n255\n1 2 3", b"P2\n2 2\n255\n \t\r\n\x0b\x0c "):
+        with pytest.raises(TruncatedData):
+            read_pgm(data)
 
 
 def test_read_bad_magic():
@@ -96,8 +97,8 @@ def test_read_high_maxval_rejected():
 
 
 def test_read_p2_value_out_of_range():
-    for data in (b"P2\n1 1\n255\n300\n", b"P5 2 1 15\n\xff\xff"):
-        with pytest.raises(MalformedHeader):
+    for data in (b"P2\n1 1\n255\n300\n", b"P5 2 1 15\n\xff\xff", b"P2 1 1 255 " + b"9" * 20):
+        with pytest.raises(MalformedHeader, match="above maxval"):
             read_pgm(data)
 
 
@@ -105,10 +106,18 @@ def test_read_p2_value_out_of_range():
     "data, expected",
     [
         (b"P2 1 1 255 7 x", [[7]]),  # bytes after the last sample are not read
+        (b"P2 1 1 255 7 " + b"0" * 4301, [[7]]),
+        (b"P2 1 1 255 7 999", [[7]]),
         (b"P2 1 1 255 0000000255", [[255]]),
         (b"P2 2 1 255 1 #c\r 9\n2", [[1, 2]]),  # a comment runs past \r to \n
     ],
-    ids=["after-last-sample", "leading-zeros", "comment-past-cr"],
+    ids=[
+        "after-last-sample",
+        "4301-digits-after-last-sample",
+        "above-255-after-last-sample",
+        "leading-zeros",
+        "comment-past-cr",
+    ],
 )
 def test_read_p2_edge_cases(data, expected):
     assert read_pgm(data).tolist() == expected
@@ -119,8 +128,9 @@ def test_read_p2_edge_cases(data, expected):
     [
         (b"P2 3 1 255 1 + 2", b"+"),
         (b"P2 1 1 255 " + b"0" * 4301, b"0" * 4301),  # more digits than int() converts
+        (b"P2 1 1 255 " + b"1" * 4301, b"1" * 4301),
     ],
-    ids=["sign", "4301-digits"],
+    ids=["sign", "4301-digits", "4301-ones"],
 )
 def test_read_p2_names_the_first_bad_token(data, token):
     with pytest.raises(MalformedHeader, match=re.escape(repr(token))):
@@ -131,7 +141,7 @@ p2_samples = st.integers(0, 255).map(lambda n: str(n).encode())
 p2_odd_tokens = st.one_of(
     st.integers(0, 999).map(lambda n: str(n).encode()),
     st.sampled_from([b"x", b"+1", b"-0", b"1_0", b"2a", b"\xd9\xa1", b"\x85", b"\x1c"]),
-    st.sampled_from([b"0" * 4, b"0" * 20, b"0" * 4301]),
+    st.sampled_from([b"0" * 4, b"0" * 20, b"0" * 4301, b"1" * 4301, b"9" * 20]),
     st.tuples(st.sampled_from([1, 2, 636, 637, 638, 700]), st.integers(0, 999)).map(
         lambda t: b"0" * t[0] + str(t[1]).encode()  # zero padding, either side of 640 bytes
     ),

@@ -10,11 +10,12 @@ from oracles import brute_rle, brute_rle_expand, parse_container
 from stegrle.errors import (
     BadMagic,
     LengthMismatch,
+    PixelBudgetExceeded,
     TrailingGarbage,
     Truncated,
     UnsupportedVersion,
 )
-from stegrle.rle import RunLengthStream, deserialize, rle_decode, rle_encode, serialize
+from stegrle.rle import MAX_PIXELS, RunLengthStream, deserialize, rle_decode, rle_encode, serialize
 
 SAMPLE_VECTOR = [109, 109, 99, 99, 99, 99, 99, 97, 97, 97]
 
@@ -195,6 +196,29 @@ def test_deserialize_zero_dimension():
     data = serialize(stream_of(0, 4, []))
     with pytest.raises(LengthMismatch):
         deserialize(data)
+
+
+# 65535x65535 pixels in one run: 22 bytes that would decode to about 4 GiB
+PIXEL_BOMB = stream_of(65535, 65535, [(0, 65535 * 65535)])
+
+
+def test_deserialize_refuses_a_pixel_bomb():
+    data = serialize(PIXEL_BOMB)
+    assert len(data) == 22
+    with pytest.raises(PixelBudgetExceeded):
+        deserialize(data)
+
+
+def test_decode_refuses_a_pixel_bomb():
+    with pytest.raises(PixelBudgetExceeded):
+        rle_decode(PIXEL_BOMB)
+
+
+def test_deserialize_accepts_the_full_pixel_budget():
+    side = 2**14
+    assert side * side == MAX_PIXELS
+    stream = deserialize(serialize(stream_of(side, side, [(7, side * side)])))
+    assert stream.runs() == [(7, MAX_PIXELS)]
 
 
 def test_deserialize_empty_input():

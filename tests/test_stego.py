@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,8 +276,14 @@ def test_embed_rejects_zero_byte():
 def test_embed_rejects_ambiguous_carrier():
     img = zeros(5, 5)
     img[2, 2] = 10
-    with pytest.raises(AmbiguousCarrier):
+    message = "1 isolated nonzero pixel(s), first at (2, 2)"
+    with pytest.raises(AmbiguousCarrier, match=re.escape(message)):
         embed(img, Rect(0, 0, 4, 4), bytes([65]))
+    img = zeros(5, 6)
+    img[3, 1] = img[1, 3] = 10  # (x, y) = (1, 3) and (3, 1); (3, 1) comes first row-major
+    message = "2 isolated nonzero pixel(s), first at (3, 1);"
+    with pytest.raises(AmbiguousCarrier, match=re.escape(message)):
+        embed(img, Rect(0, 0, 5, 4), bytes([65]))
 
 
 def test_embed_rejects_bad_roi():
