@@ -24,7 +24,7 @@ from .image import Rect, load_pgm, save_pgm, write_pgm
 from .metrics import compare
 from .pipeline import PHASES, run_pipeline
 from .rle import deserialize, rle_decode, rle_encode, serialize
-from .stego import _hidden, bytes_to_text, embed, extract, text_to_bytes
+from .stego import bytes_to_text, embed, extract, text_to_bytes
 
 IO_ERROR_EXIT = 3
 _SITES_SHOWN = 16  # embed prints this many sites, then how many more there are
@@ -99,9 +99,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
     save_pgm(args.out, stego)
     print(f"capacity: {report.capacity}")
     print(f"bytes hidden: {report.bytes_hidden}")
-    # validate_carrier(stego) lists the sites embed wrote; tuple only those shown
-    ys, xs = _hidden(stego).nonzero()  # row-major over the interior
-    shown = " ".join(f"{x + 1},{y + 1}" for x, y in zip(xs[:_SITES_SHOWN], ys[:_SITES_SHOWN]))
+    ys, xs = (stego != carrier).nonzero()  # the sites embed wrote, row-major
+    shown = " ".join(f"{x},{y}" for x, y in zip(xs[:_SITES_SHOWN], ys[:_SITES_SHOWN]))
     more = report.bytes_hidden - _SITES_SHOWN
     print("sites:", shown + (f" ... ({more} more)" if more > 0 else ""))
     return 0

@@ -62,8 +62,8 @@ def rle_encode(img: np.ndarray) -> RunLengthStream:
     return RunLengthStream(
         width=width,
         height=height,
-        values=flat[starts].copy(),
-        lengths=lengths.astype(np.int64),
+        values=flat[starts],
+        lengths=lengths.astype(np.int64, copy=False),
     )
 
 

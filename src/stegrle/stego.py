@@ -84,15 +84,15 @@ def _candidates(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
 def _claimed(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
     """Mask of the sites one embedding pass fills, over the _candidates window.
 
-    A candidate is claimed unless its left or upper neighbour was, so each row
-    claims the even offsets of every run of candidates the row above left free.
+    A candidate is claimed unless its left or upper neighbour was, so a row claims
+    each free cell whose column minus the last blocked column before it is odd.
     """
     cand, x0, y0 = _candidates(img, roi)
     claimed = np.zeros((cand.shape[0] + 1, cand.shape[1]), dtype=bool)  # row 0: none above
+    col = np.arange(cand.shape[1])
     for y in np.flatnonzero(cand.any(axis=1)):
         free = cand[y] & ~claimed[y]
-        count = np.cumsum(free)
-        place = count - np.maximum.accumulate(np.where(free, 0, count))  # 1-based in its run
+        place = col - np.maximum.accumulate(np.where(free, -1, col))
         claimed[y + 1] = place % 2 == 1
     return claimed[1:], x0, y0
 
@@ -145,17 +145,16 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
             f"first at {(x + 1, y + 1)}; extraction would misread them"
         )
     claimed, x0, y0 = _claimed(img, roi)
-    capacity = int(np.count_nonzero(claimed))
+    ys, xs = np.nonzero(claimed)  # row-major: the order the bytes fill
+    capacity = len(ys)
     if len(message) > capacity:
         raise CapacityExceeded(
             f"message needs {len(message)} sites but ROI offers {capacity}",
             capacity=capacity,
             needed=len(message),
         )
-    used = claimed & (np.cumsum(claimed).reshape(claimed.shape) <= len(message))
     stego = img.copy()
-    window = stego[y0 : y0 + used.shape[0], x0 : x0 + used.shape[1]]
-    window[used] = np.frombuffer(message, dtype=np.uint8)
+    stego[ys[: len(message)] + y0, xs[: len(message)] + x0] = np.frombuffer(message, np.uint8)
     return stego, EmbedReport(len(message), capacity)
 
 

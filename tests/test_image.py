@@ -72,8 +72,10 @@ def test_read_bad_magic():
 
 
 def test_read_missing_fields():
-    with pytest.raises(MalformedHeader):
-        read_pgm(b"P5\n2 1\n")
+    # the last two: a comment hides the rest of its line, so no token comes from its tail
+    for data in (b"P5\n2 1\n", b"P2 1 1 #255", b"P5 1 1 #255"):
+        with pytest.raises(MalformedHeader, match="PGM header ended early"):
+            read_pgm(data)
 
 
 def test_read_non_numeric_dimension():
@@ -97,7 +99,12 @@ def test_read_high_maxval_rejected():
 
 
 def test_read_p2_value_out_of_range():
-    for data in (b"P2\n1 1\n255\n300\n", b"P5 2 1 15\n\xff\xff", b"P2 1 1 255 " + b"9" * 20):
+    for data in (
+        b"P2\n1 1\n255\n300\n",
+        b"P5 2 1 15\n\xff\xff",
+        b"P2 1 1 255 " + b"9" * 20,
+        b"P2 1 1 255 18446744073709551617",  # 2**64 + 1: must not wrap round to 1
+    ):
         with pytest.raises(MalformedHeader, match="above maxval"):
             read_pgm(data)
 

@@ -11,6 +11,7 @@ from stegrle.errors import (
     BadMagic,
     LengthMismatch,
     PixelBudgetExceeded,
+    StegRleError,
     TrailingGarbage,
     Truncated,
     UnsupportedVersion,
@@ -245,6 +246,48 @@ def test_deserialize_survives_single_byte_corruption(position, value):
         assert int(stream.lengths.sum()) == stream.width * stream.height
     except (BadMagic, UnsupportedVersion, Truncated, TrailingGarbage, LengthMismatch):
         pass
+
+
+small_images = arrays(
+    np.uint8,
+    st.tuples(st.integers(1, 16), st.integers(1, 16)),
+    elements=st.integers(0, 3),
+)
+
+
+@st.composite
+def mutated_containers(draw):
+    """A valid container after one mutation: flips, a truncation, a splice or a new field."""
+    data = bytearray(serialize(rle_encode(draw(small_images))))
+    kind = draw(st.sampled_from(["flips", "truncation", "splice", "field"]))
+    if kind == "flips":
+        for _ in range(draw(st.integers(2, 8))):  # sampled_from spreads them; integers favour 0
+            data[draw(st.sampled_from(range(len(data))))] ^= draw(st.integers(1, 255))
+    elif kind == "truncation":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    elif kind == "splice":
+        other = serialize(rle_encode(draw(small_images)))
+        cut = draw(st.just(len(data)) | st.integers(0, len(data)))  # often a plain concatenation
+        data = data[:cut] + other[draw(st.sampled_from([0, cut]) | st.integers(0, len(other))) :]
+    else:
+        offset = draw(st.sampled_from([5, 9, 13]))  # width, height, count
+        value = draw(st.integers(0, 300) | st.integers(0, 2**32 - 1))
+        data[offset : offset + 4] = value.to_bytes(4, "little")
+    return bytes(data)
+
+
+@settings(max_examples=300)
+@given(mutated_containers())
+def test_mutated_containers_fail_cleanly_or_match_the_oracle(data):
+    try:
+        stream = deserialize(data)
+    except StegRleError:
+        return
+    width, height, runs = parse_container(data)
+    assert (stream.width, stream.height, stream.runs()) == (width, height, runs)
+    pixels = rle_decode(stream)
+    assert pixels.shape == (height, width)
+    assert pixels.ravel().tolist() == brute_rle_expand(runs)
 
 
 # --- compression behaviour ---
