@@ -118,7 +118,7 @@ class TrailingGarbage(StegRleError):
 
 
 class PixelBudgetExceeded(StegRleError):
-    """Container declares more pixels than the decoder will allocate."""
+    """A PGM or SRLE header declares more pixels than the readers will allocate."""
 
     exit_code = 25
 

@@ -10,8 +10,9 @@ raw raster, no comments. That makes encodings byte-reproducible and lets
 round-trip tests compare files directly. The reader is more liberal and
 accepts binary P5 and ASCII P2 with ``#`` comments in the header (and
 between P2 samples), but, as the Netpbm spec asks, only decimal digits for
-numbers and no sample above maxval. A P2 raster is parsed by one
-``np.fromstring`` call, or token by token where that call would misread it.
+numbers, no sample above maxval and, as in SRLE, at most ``MAX_PIXELS``
+pixels. One ``np.fromstring`` call parses a P2 raster of digits and
+whitespace; any other raster, trailing data included, goes token by token.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedHeader, RectOutOfBounds, TruncatedData, UnsupportedMaxval
+from .errors import MalformedHeader, PixelBudgetExceeded, RectOutOfBounds, TruncatedData
+from .errors import UnsupportedMaxval
 
 # ITU-R BT.601 luma weights for R, G, B
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
+MAX_PIXELS = 2**28  # 256 MiB of uint8, as Pillow's MAX_IMAGE_PIXELS
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
@@ -85,6 +88,13 @@ def check_rect(img: np.ndarray, roi: Rect) -> None:
         raise RectOutOfBounds(f"y1={roi.y1} outside image of height {height}")
 
 
+def check_pixels(width: int, height: int) -> int:
+    """Return width*height; a PGM or SRLE header may declare at most MAX_PIXELS pixels."""
+    if (pixels := width * height) > MAX_PIXELS:
+        raise PixelBudgetExceeded(f"{width}x{height} image has {pixels} pixels, over {MAX_PIXELS}")
+    return pixels
+
+
 def _scan_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Return the next whitespace-delimited header token, skipping # comments."""
     token = _TOKEN.match(data, pos)
@@ -114,8 +124,6 @@ def _p2_samples(raster: bytes, count: int) -> np.ndarray:
     # saturates a huge token but reads a run of zeros too long for int() as 0, and
     # 638 zeros and three digits make 641, one past the lowest limit int() may be set to
     text = _COMMENT.sub(b"", raster).strip()
-    if text.translate(None, _PLAIN):  # a byte np.fromstring refuses: read no further than count
-        text = b" ".join(text.split(None, count)[:count])
     plain = not text.translate(None, _PLAIN) and b"0" * 638 not in text
     samples = np.fromstring(text, dtype=np.int64, sep=" ")[:count] if plain else None
     if samples is None or samples.max(initial=0) > 255:
@@ -144,8 +152,8 @@ def read_pgm(data: bytes) -> np.ndarray:
         raise UnsupportedMaxval(f"maxval {maxval} exceeds 255")
     if maxval < 1:
         raise MalformedHeader(f"invalid maxval {maxval}")
+    count = check_pixels(width, height)
 
-    count = width * height
     if magic == b"P5":
         # a single whitespace byte separates the header from the raster
         if pos >= len(data) or data[pos] not in _WHITESPACE:

@@ -16,16 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, LengthMismatch, PixelBudgetExceeded, TrailingGarbage, Truncated
-from .errors import UnsupportedVersion
-from .image import as_gray
+from .errors import BadMagic, LengthMismatch, TrailingGarbage, Truncated, UnsupportedVersion
+from .image import as_gray, check_pixels
 
 MAGIC = b"SRLE"
 VERSION = 1
 HEADER = struct.Struct("<4sBIII")
 RUN_DTYPE = np.dtype([("value", "<u1"), ("length", "<u4")])
-# the most pixels a container may declare: 256 MiB of uint8, as Pillow's MAX_IMAGE_PIXELS
-MAX_PIXELS = 2**28
 
 
 @dataclass
@@ -74,8 +71,7 @@ def _check_lengths(lengths: np.ndarray, width: int, height: int) -> None:
     total = int(lengths.sum())
     if total != width * height:
         raise LengthMismatch(f"run lengths sum to {total}, image needs {width * height} pixels")
-    if total > MAX_PIXELS:
-        raise PixelBudgetExceeded(f"{width}x{height} image has {total} pixels, over {MAX_PIXELS}")
+    check_pixels(width, height)
 
 
 def rle_decode(stream: RunLengthStream) -> np.ndarray:
@@ -99,13 +95,11 @@ def serialize(stream: RunLengthStream) -> bytes:
 def deserialize(data: bytes) -> RunLengthStream:
     """Parse and validate SRLE container bytes."""
     data = bytes(data)
+    if len(data) >= 4 and data[:4] != MAGIC:
+        raise BadMagic(f"expected {MAGIC!r}, found {data[:4]!r}")
     if len(data) < HEADER.size:
-        if data[:4] != MAGIC and len(data) >= 4:
-            raise BadMagic(f"expected {MAGIC!r}, found {data[:4]!r}")
         raise Truncated(f"container header needs {HEADER.size} bytes, got {len(data)}")
-    magic, version, width, height, count = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagic(f"expected {MAGIC!r}, found {magic!r}")
+    _, version, width, height, count = HEADER.unpack_from(data)
     if version != VERSION:
         raise UnsupportedVersion(f"version {version} not supported")
     expected_size = HEADER.size + RUN_DTYPE.itemsize * count

@@ -5,6 +5,8 @@ purpose: the point is to share no code (and therefore no bugs) with the
 numpy implementations under test.
 """
 
+PGM_WHITESPACE = b" \t\n\r\x0b\x0c"
+
 
 def as_grid(img):
     """Copy any 2-D pixel source into a list of lists of ints."""
@@ -107,6 +109,31 @@ def brute_mse(a, b):
     return total / count
 
 
+def brute_pgm_header(data):
+    """Reference PGM header scan: ([magic, width, height, maxval] tokens, raster offset).
+
+    Skips whitespace and ``#`` comments, each of which must end at a
+    newline; a token runs until whitespace or ``#``. Returns None when the
+    data ends before the fourth token.
+    """
+    tokens = []
+    pos = 0
+    while len(tokens) < 4:
+        while pos < len(data) and (data[pos] in PGM_WHITESPACE or data[pos] == ord("#")):
+            if data[pos] == ord("#"):
+                pos = data.find(b"\n", pos)
+                if pos < 0:
+                    return None
+            pos += 1
+        start = pos
+        while pos < len(data) and data[pos] not in PGM_WHITESPACE and data[pos] != ord("#"):
+            pos += 1
+        if pos == start:
+            return None
+        tokens.append(data[start:pos])
+    return tokens, pos
+
+
 def brute_read_p2(raster, count):
     """Reference P2 raster parse: the first count samples as ints, or the error's class name.
 
@@ -133,6 +160,46 @@ def brute_read_p2(raster, count):
     if len(samples) < count:
         return "TruncatedData"
     return samples
+
+
+def brute_read_pgm(data, max_pixels):
+    """Reference PGM parse: the image as a list of rows, or the error's class name."""
+    header = brute_pgm_header(data)
+    if header is None or header[0][0] not in (b"P2", b"P5"):
+        return "MalformedHeader"
+    (magic, *fields), pos = header
+    numbers = []
+    for field in fields:
+        if not field.isdigit():
+            return "MalformedHeader"
+        try:
+            numbers.append(int(field))
+        except ValueError:  # more digits than int() converts
+            return "MalformedHeader"
+    width, height, maxval = numbers
+    if width < 1 or height < 1:
+        return "MalformedHeader"
+    if maxval > 255:
+        return "UnsupportedMaxval"
+    if maxval < 1:
+        return "MalformedHeader"
+    count = width * height
+    if count > max_pixels:
+        return "PixelBudgetExceeded"
+    if magic == b"P5":
+        # one whitespace byte, then the raster; bytes after it are not read
+        if pos >= len(data) or data[pos] not in PGM_WHITESPACE:
+            return "MalformedHeader"
+        samples = list(data[pos + 1 : pos + 1 + count])
+        if len(samples) < count:
+            return "TruncatedData"
+    else:
+        samples = brute_read_p2(data[pos:], count)
+        if isinstance(samples, str):
+            return samples
+    if max(samples) > maxval:
+        return "MalformedHeader"
+    return [samples[row * width : (row + 1) * width] for row in range(height)]
 
 
 def parse_container(data):

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stegrle.cli import main
+from stegrle.cli import IO_ERROR_EXIT, main
+from stegrle.errors import StegRleError
 from stegrle.image import Rect, load_pgm, save_pgm, write_pgm
 from stegrle.rle import rle_encode, serialize
 from stegrle.stego import embedding_sites
@@ -223,6 +227,15 @@ def test_decompress_pixel_budget_exit(tmp_path, capsys):
     assert not (tmp_path / "o.pgm").exists()
 
 
+def test_compress_pixel_budget_exit(tmp_path, capsys):
+    big = tmp_path / "big.pgm"
+    big.write_bytes(b"P5 16385 16384 255\n\x00")  # one pixel over the budget, no raster
+    code, _, err = run(capsys, "compress", "--in", big, "--out", tmp_path / "o.srle")
+    assert code == 25
+    assert "error: PixelBudgetExceeded" in err
+    assert not (tmp_path / "o.srle").exists()
+
+
 # --- metrics ---
 
 def test_metrics_identical_files(capsys, zero_pgm):
@@ -355,3 +368,23 @@ def test_integer_options_take_ascii_digits_only(capsys, tmp_path):
         assert exit_info.value.code == 2
     code, _, _ = run(capsys, "gen-carrier", "--out", tmp_path / "c.pgm", "--blob-cx", "-4")
     assert code == 0
+
+
+# --- documentation ---
+
+def all_errors(cls=StegRleError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_errors(sub)
+
+
+def test_readme_exit_code_table_names_every_error():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    table = sorted((name, int(code)) for code, name in re.findall(r"(\d+)\s*\|\s*(\w+)", section))
+    assert table == sorted((error.__name__, error.exit_code) for error in all_errors())
+    assert "`2` usage errors" in section and f"`{IO_ERROR_EXIT}` file I/O" in section
+    assert not {2, IO_ERROR_EXIT} & {code for _, code in table}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compress"])  # a required option is missing
+    assert exit_info.value.code == 2

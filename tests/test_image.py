@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import brute_read_p2
+from oracles import brute_read_p2, brute_read_pgm
 from stegrle.errors import (
     MalformedHeader,
+    PixelBudgetExceeded,
     RectOutOfBounds,
+    StegRleError,
     TruncatedData,
     UnsupportedMaxval,
 )
 from stegrle.image import (
+    MAX_PIXELS,
     Rect,
     as_gray,
     check_rect,
@@ -96,6 +99,22 @@ def test_read_zero_dimension():
 def test_read_high_maxval_rejected():
     with pytest.raises(UnsupportedMaxval):
         read_pgm(b"P5\n1 1\n65535\n\x00\x00")
+
+
+@pytest.mark.parametrize("magic", [b"P5", b"P2"])
+def test_read_refuses_a_header_over_the_pixel_budget(magic):
+    side = 2**14
+    assert side * side == MAX_PIXELS
+    with pytest.raises(PixelBudgetExceeded, match="16385x16384 image has 268451840 pixels"):
+        read_pgm(magic + b" %d %d 255\n7" % (side + 1, side))
+    with pytest.raises(TruncatedData):  # the budget itself is allowed: only the raster is short
+        read_pgm(magic + b" %d %d 255\n7" % (side, side))
+
+
+def test_read_p2_over_the_budget_with_junk_after_its_sample():
+    # text.split(None, count) cannot take a count this large: it must never be reached
+    with pytest.raises(PixelBudgetExceeded):
+        read_pgm(b"P2 100000000000000000000 1 255 1 x")
 
 
 def test_read_p2_value_out_of_range():
@@ -189,7 +208,7 @@ def test_read_p2_matches_brute_force(width, height, maxval, pieces, trailing):
 def test_read_rejects_junk_with_declared_errors_only(data):
     try:
         read_pgm(data)
-    except (MalformedHeader, TruncatedData, UnsupportedMaxval):
+    except (MalformedHeader, TruncatedData, UnsupportedMaxval, PixelBudgetExceeded):
         pass
 
 
@@ -204,6 +223,73 @@ def test_read_survives_single_byte_corruption(position, value):
         assert img.shape[0] >= 1 and img.shape[1] >= 1
     except (MalformedHeader, TruncatedData, UnsupportedMaxval):
         pass
+
+
+small_pgm_images = arrays(
+    np.uint8,
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    elements=st.integers(0, 255),
+)
+header_values = st.one_of(
+    st.integers(0, 300).map(b"%d".__mod__),
+    st.sampled_from([2**14 + 1, MAX_PIXELS, MAX_PIXELS + 1, 2**32]).map(b"%d".__mod__),
+    st.integers(20, 40).map(lambda n: b"9" * n),  # 20+ digits
+    st.integers(20, 40).map(lambda n: b"1" + b"0" * n),
+    st.sampled_from([b"0" * 30 + b"7", b"1" * 4301]),  # zero padding; too long for int()
+)
+
+
+@st.composite
+def valid_pgms(draw):
+    """A valid P2 or P5 file of a small image: its header fields, magic first, and raster."""
+    img = draw(small_pgm_images)
+    maxval = draw(st.sampled_from([255, max(1, int(img.max()))]))
+    magic = draw(st.sampled_from([b"P2", b"P5"]))
+    if magic == b"P5":
+        raster = img.tobytes()
+    else:
+        seps = st.sampled_from([b" ", b"\n", b"\t", b" # note\n"])
+        raster = b"".join(b"%d" % v + draw(seps) for v in img.ravel())
+    return [magic, b"%d" % img.shape[1], b"%d" % img.shape[0], b"%d" % maxval], raster
+
+
+def pgm_header(fields):
+    return b" ".join(fields) + b"\n"
+
+
+@st.composite
+def mutated_pgms(draw):
+    """A valid PGM after flips, a truncation, a splice, a new header field, or a field and a flip."""
+    fields, raster = draw(valid_pgms())
+    kind = draw(st.sampled_from(["flips", "truncation", "splice", "field", "field+flip"]))
+    if kind.startswith("field"):
+        fields[draw(st.integers(1, 3))] = draw(header_values)  # width, height or maxval
+    data = bytearray(pgm_header(fields) + raster)
+    if kind == "flips":
+        for _ in range(draw(st.integers(2, 8))):  # sampled_from spreads them; integers favour 0
+            data[draw(st.sampled_from(range(len(data))))] ^= draw(st.integers(1, 255))
+    elif kind == "field+flip":  # one flip in the raster, so the new header still reads
+        data[draw(st.integers(len(pgm_header(fields)), len(data) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "truncation":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    elif kind == "splice":
+        other_fields, other_raster = draw(valid_pgms())
+        other = pgm_header(other_fields) + other_raster
+        cut = draw(st.just(len(data)) | st.integers(0, len(data)))  # often a plain concatenation
+        data = data[:cut] + other[draw(st.sampled_from([0, cut]) | st.integers(0, len(other))) :]
+    return bytes(data)
+
+
+@settings(max_examples=400)
+@given(mutated_pgms())
+def test_mutated_pgms_fail_cleanly_or_match_the_oracle(data):
+    expected = brute_read_pgm(data, MAX_PIXELS)
+    try:
+        img = read_pgm(data)
+    except StegRleError as error:
+        assert type(error).__name__ == expected
+    else:
+        assert img.tolist() == expected
 
 
 # --- PGM writing ---

@@ -16,7 +16,8 @@ from stegrle.errors import (
     Truncated,
     UnsupportedVersion,
 )
-from stegrle.rle import MAX_PIXELS, RunLengthStream, deserialize, rle_decode, rle_encode, serialize
+from stegrle.image import MAX_PIXELS
+from stegrle.rle import RunLengthStream, deserialize, rle_decode, rle_encode, serialize
 
 SAMPLE_VECTOR = [109, 109, 99, 99, 99, 99, 99, 97, 97, 97]
 
