@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 
 from .carrier import synthetic_carrier
 from .errors import EmptyMessage, NonLatinCharacter, StegRleError
-from .image import Rect, load_pgm, save_pgm, write_pgm
+from .image import Rect, load_pgm, save_pgm, write_file, write_pgm
 from .metrics import compare
 from .pipeline import PHASES, run_pipeline
 from .rle import deserialize, rle_decode, rle_encode, serialize
@@ -110,8 +111,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
     img = load_pgm(args.infile)
     raw = write_pgm(img)
     container = serialize(rle_encode(img))
-    with open(args.out, "wb") as fh:
-        fh.write(container)
+    write_file(args.out, container)
     ratio = len(raw) / len(container)
     print(f"raw bytes: {len(raw)}")
     print(f"container bytes: {len(container)}")
@@ -162,18 +162,19 @@ def _print_pipeline_report(result) -> None:
 
 
 def _write_pipeline_csv(path: str, result) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["section", "label", "seconds", "mse", "psnr"])
-        for phase in PHASES:
-            writer.writerow(["timing", phase, f"{result.timing.phases[phase]:.6f}", "", ""])
-        writer.writerow(["timing", "total", f"{result.timing.total:.6f}", "", ""])
-        for label, quality in (
-            ("carrier vs stego", result.stego_quality),
-            ("carrier vs restored", result.restored_quality),
-        ):
-            psnr = _fmt_float(quality.psnr, ".6f")
-            writer.writerow(["quality", label, "", f"{quality.mse:.6f}", psnr])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["section", "label", "seconds", "mse", "psnr"])
+    for phase in PHASES:
+        writer.writerow(["timing", phase, f"{result.timing.phases[phase]:.6f}", "", ""])
+    writer.writerow(["timing", "total", f"{result.timing.total:.6f}", "", ""])
+    for label, quality in (
+        ("carrier vs stego", result.stego_quality),
+        ("carrier vs restored", result.restored_quality),
+    ):
+        psnr = _fmt_float(quality.psnr, ".6f")
+        writer.writerow(["quality", label, "", f"{quality.mse:.6f}", psnr])
+    write_file(path, text.getvalue().encode("ascii"))
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -183,8 +184,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if args.stego_out:
         save_pgm(args.stego_out, result.stego)
     if args.container_out:
-        with open(args.container_out, "wb") as fh:
-            fh.write(result.container)
+        write_file(args.container_out, result.container)
     if args.restored_out:
         save_pgm(args.restored_out, result.restored)
     print(f"bytes hidden: {result.embed_report.bytes_hidden}")

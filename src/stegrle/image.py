@@ -17,6 +17,7 @@ whitespace; any other raster, trailing data included, goes token by token.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 
@@ -183,7 +184,19 @@ def load_pgm(path) -> np.ndarray:
         return read_pgm(fh.read())
 
 
+def write_file(path, data: bytes) -> None:
+    """Write data to a new file beside path, then rename it over path; on failure remove it."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")  # "x": never write into a file that is already there
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_pgm(path, img: np.ndarray) -> None:
-    """Write a grayscale image to disk as canonical P5."""
-    with open(path, "wb") as fh:
-        fh.write(write_pgm(img))
+    """Write a grayscale image to disk as canonical P5, whole or not at all (see write_file)."""
+    write_file(path, write_pgm(img))

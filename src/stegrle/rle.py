@@ -54,14 +54,10 @@ def rle_encode(img: np.ndarray) -> RunLengthStream:
     img = as_gray(img)
     height, width = img.shape
     flat = img.ravel()
-    starts = np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1))
-    lengths = np.diff(np.concatenate((starts, [flat.size])))
-    return RunLengthStream(
-        width=width,
-        height=height,
-        values=flat[starts],
-        lengths=lengths.astype(np.int64, copy=False),
-    )
+    change = np.ones(flat.size + 1, dtype=bool)  # both ends, and every index where a run starts
+    np.not_equal(flat[1:], flat[:-1], out=change[1:-1])
+    edges = np.flatnonzero(change)
+    return RunLengthStream(width, height, values=flat[edges[:-1]], lengths=np.diff(edges))
 
 
 def _check_lengths(lengths: np.ndarray, width: int, height: int) -> None:

@@ -84,17 +84,22 @@ def _candidates(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
 def _claimed(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
     """Mask of the sites one embedding pass fills, over the _candidates window.
 
-    A candidate is claimed unless its left or upper neighbour was, so a row claims
-    each free cell whose column minus the last blocked column before it is odd.
+    Each row is an int whose bit x is column x. Adding a free run's first bit carries
+    through the run and clears it, which finds the runs that claim their even columns.
     """
     cand, x0, y0 = _candidates(img, roi)
-    claimed = np.zeros((cand.shape[0] + 1, cand.shape[1]), dtype=bool)  # row 0: none above
-    col = np.arange(cand.shape[1])
-    for y in np.flatnonzero(cand.any(axis=1)):
-        free = cand[y] & ~claimed[y]
-        place = col - np.maximum.accumulate(np.where(free, -1, col))
-        claimed[y + 1] = place % 2 == 1
-    return claimed[1:], x0, y0
+    rows = np.packbits(cand, axis=1, bitorder="little")  # overwritten row by row with the claims
+    size, bits = rows.shape[1], rows.reshape(-1).data
+    even = int.from_bytes(b"\x55" * size, "little")  # the bits of columns 0, 2, 4, ...
+    above, last = 0, -1
+    for y in np.flatnonzero(rows.any(axis=1)).tolist():
+        row = slice(y * size, (y + 1) * size)
+        free = int.from_bytes(bits[row], "little") & ~(above if y == last + 1 else 0)
+        starts = free & ~(free << 1)
+        runs = free & ~(free + (starts & even))  # the runs that start at an even column
+        above, last = (runs & even) | (free & ~runs & ~even), y
+        bits[row] = above.to_bytes(size, "little")
+    return np.unpackbits(rows, axis=1, count=cand.shape[1], bitorder="little").view(bool), x0, y0
 
 
 def scan_candidates(img: np.ndarray, roi: Rect) -> list[Site]:
@@ -133,7 +138,7 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
     """
     img = as_gray(img)
     check_rect(img, roi)
-    message = bytes(message)
+    message = np.frombuffer(bytes(message), np.uint8)
     if 0 in message:
         raise NulCharacter("message bytes must be in 1..255")
     hidden = _hidden(img)
@@ -145,16 +150,17 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
             f"first at {(x + 1, y + 1)}; extraction would misread them"
         )
     claimed, x0, y0 = _claimed(img, roi)
-    ys, xs = np.nonzero(claimed)  # row-major: the order the bytes fill
-    capacity = len(ys)
+    capacity = int(np.count_nonzero(claimed))
     if len(message) > capacity:
         raise CapacityExceeded(
             f"message needs {len(message)} sites but ROI offers {capacity}",
             capacity=capacity,
             needed=len(message),
         )
+    if len(message) < capacity:  # keep the first len(message) sites: row-major is the fill order
+        claimed.ravel()[np.flatnonzero(claimed)[len(message)] :] = False
     stego = img.copy()
-    stego[ys[: len(message)] + y0, xs[: len(message)] + x0] = np.frombuffer(message, np.uint8)
+    stego[y0 : y0 + len(claimed), x0 : x0 + claimed.shape[1]][claimed] = message
     return stego, EmbedReport(len(message), capacity)
 
 

@@ -1,3 +1,4 @@
+import os
 import re
 from pathlib import Path
 
@@ -288,6 +289,44 @@ def test_pipeline_reports_and_outputs(tmp_path, capsys, carrier_pgm):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "section,label,seconds,mse,psnr"
     assert len(lines) == 1 + 5 + 2
+    assert csv_path.read_bytes().count(b"\r\n") == len(lines)  # csv's own line ends
+    written = {"carrier.pgm", "report.csv", "stego.pgm", "c.srle", "restored.pgm"}
+    assert set(os.listdir(tmp_path)) == written  # no temporary file is left behind
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-carrier", "--out", "{out}"],
+        ["embed", "--in", "{carrier}", "--out", "{out}", "--roi", "1,1,60,60", "--message", "hi"],
+        ["compress", "--in", "{carrier}", "--out", "{out}"],
+        ["decompress", "--in", "{container}", "--out", "{out}"],
+        ["extract", "--in", "{carrier}", "--out", "{out}"],
+        *(
+            ["pipeline", "--in", "{carrier}", "--roi", "1,1,9,9", "--message", "hi", flag, "{out}"]
+            for flag in ("--csv", "--stego-out", "--container-out", "--restored-out")
+        ),
+    ],
+)
+def test_failed_write_leaves_the_old_output_and_no_temporary_file(
+    tmp_path, capsys, monkeypatch, carrier_pgm, argv
+):
+    container = tmp_path / "in.srle"
+    container.write_bytes(serialize(rle_encode(load_pgm(carrier_pgm))))
+    out = tmp_path / "out"
+    out.write_bytes(b"old")
+    before = sorted(os.listdir(tmp_path))
+
+    def replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", replace)
+    paths = {"out": out, "carrier": carrier_pgm, "container": container}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == IO_ERROR_EXIT
+    assert "No space left on device" in err
+    assert out.read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_pipeline_capacity_error_names_phase(tmp_path, capsys, carrier_pgm):

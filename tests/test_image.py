@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -23,6 +24,7 @@ from stegrle.image import (
     check_rect,
     read_pgm,
     to_grayscale,
+    write_file,
     write_pgm,
 )
 
@@ -311,6 +313,21 @@ def test_pgm_round_trip(img):
 @given(images)
 def test_writer_is_deterministic(img):
     assert write_pgm(img) == write_pgm(img)
+
+
+def test_write_file_leaves_the_old_file_or_the_whole_new_one(tmp_path):
+    path = tmp_path / "out.pgm"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_file(path, "not bytes")  # fails after the new file is opened
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out.pgm"]
+    write_file(path, b"new")
+    assert path.read_bytes() == b"new"
+    assert os.listdir(tmp_path) == ["out.pgm"]
+    opened = tmp_path / "opened"
+    opened.write_bytes(b"")
+    assert path.stat().st_mode == opened.stat().st_mode  # the umask decides, as for open()
 
 
 # --- grayscale conversion ---

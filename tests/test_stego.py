@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_candidates, brute_extract, brute_isolated_nonzero
+from oracles import brute_candidates, brute_extract, brute_greedy_sites, brute_isolated_nonzero
 from stegrle.carrier import synthetic_carrier
 from stegrle.errors import (
     AmbiguousCarrier,
@@ -17,6 +17,7 @@ from stegrle.errors import (
 from stegrle.image import Rect
 from stegrle.metrics import mse
 from stegrle.stego import (
+    EmbedReport,
     bytes_to_text,
     embed,
     embedding_sites,
@@ -252,6 +253,37 @@ def test_embedding_sites_match_sequential_simulation():
         assert embedding_sites(img, Rect(x0, y0, x1, y1)) == brute_greedy_sites(
             img, x0, y0, x1, y1
         )
+
+
+def domino_carrier(rng, height, width):
+    """A clean carrier: random horizontal dominoes, and full nonzero rows that leave the
+    rows around them without a candidate."""
+    img = np.zeros((height, width), dtype=np.uint8)
+    for _ in range(rng.integers(0, height * width // 6 + 1)):
+        y, x = rng.integers(0, height), rng.integers(0, width - 1)
+        img[y, x : x + 2] = rng.integers(1, 256)
+    img[rng.random(height) < 0.2] = 9
+    return img
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 150])
+def test_claims_match_the_oracle_across_byte_and_word_boundaries(width):
+    # ROI widths around 8- and 64-column boundaries, starting at odd and even columns
+    rng = np.random.default_rng(width)
+    for case in range(24):
+        x0 = (1, 2, 5)[case % 3]
+        img = domino_carrier(rng, rng.integers(3, 16), x0 + width + rng.integers(1, 4))
+        x1, y1 = x0 + width - 1, img.shape[0] - 1
+        sites = brute_greedy_sites(img, x0, 0, x1, y1)
+        assert embedding_sites(img, Rect(x0, 0, x1, y1)) == sites
+        for size in sorted({min(1, len(sites)), max(len(sites) - 1, 0), len(sites)}):
+            message = bytes(rng.integers(1, 256, size, dtype=np.uint8).tolist())
+            stego, report = embed(img, Rect(x0, 0, x1, y1), message)
+            expected = img.copy()
+            for (x, y), byte in zip(sites, message):
+                expected[y, x] = byte
+            assert np.array_equal(stego, expected)
+            assert report == EmbedReport(size, len(sites))
 
 
 def test_embedding_sites_full_zero_block_is_checkerboard():
