@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .image import check_pixels
+
 
 def synthetic_carrier(
     width: int = 256,
@@ -29,6 +31,7 @@ def synthetic_carrier(
     """
     if width < 1 or height < 1:
         raise ValueError(f"dimensions must be at least 1x1, got {width}x{height}")
+    check_pixels(width, height)
     if not 1 <= blob_value <= 255:
         raise ValueError(f"blob_value must be in 1..255, got {blob_value}")
     cx = width // 2 if blob_cx is None else blob_cx

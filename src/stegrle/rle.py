@@ -60,20 +60,23 @@ def rle_encode(img: np.ndarray) -> RunLengthStream:
     return RunLengthStream(width, height, values=flat[edges[:-1]], lengths=np.diff(edges))
 
 
-def _check_lengths(lengths: np.ndarray, width: int, height: int) -> None:
-    """Raise unless every run is 1+ long and they cover width*height <= MAX_PIXELS pixels."""
+def _check_lengths(lengths, width: int, height: int) -> np.ndarray:
+    """Return lengths as int64 if 1+ long runs cover a 1+ by 1+ image of <= MAX_PIXELS pixels."""
+    if width < 1 or height < 1:
+        raise LengthMismatch(f"invalid dimensions {width}x{height}")
+    lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size and int(lengths.min()) < 1:
         raise LengthMismatch(f"run of length {int(lengths.min())}; runs must be at least 1 long")
     total = int(lengths.sum())
     if total != width * height:
         raise LengthMismatch(f"run lengths sum to {total}, image needs {width * height} pixels")
     check_pixels(width, height)
+    return lengths
 
 
 def rle_decode(stream: RunLengthStream) -> np.ndarray:
     """Expand a run-length stream back into the original image."""
-    lengths = np.asarray(stream.lengths, dtype=np.int64)
-    _check_lengths(lengths, stream.width, stream.height)
+    lengths = _check_lengths(stream.lengths, stream.width, stream.height)
     flat = np.repeat(np.asarray(stream.values, dtype=np.uint8), lengths)
     return flat.reshape(stream.height, stream.width)
 
@@ -103,11 +106,8 @@ def deserialize(data: bytes) -> RunLengthStream:
         raise Truncated(f"container needs {expected_size} bytes, got {len(data)}")
     if len(data) > expected_size:
         raise TrailingGarbage(f"{len(data) - expected_size} byte(s) after last run")
-    if width < 1 or height < 1:
-        raise LengthMismatch(f"invalid dimensions {width}x{height}")
     records = np.frombuffer(data, dtype=RUN_DTYPE, count=count, offset=HEADER.size)
-    lengths = records["length"].astype(np.int64)
-    _check_lengths(lengths, width, height)
+    lengths = _check_lengths(records["length"], width, height)
     return RunLengthStream(
         width=width,
         height=height,

@@ -91,13 +91,13 @@ def _claimed(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
     rows = np.packbits(cand, axis=1, bitorder="little")  # overwritten row by row with the claims
     size, bits = rows.shape[1], rows.reshape(-1).data
     even = int.from_bytes(b"\x55" * size, "little")  # the bits of columns 0, 2, 4, ...
-    above, last = 0, -1
-    for y in np.flatnonzero(rows.any(axis=1)).tolist():
+    above = 0
+    for y in range(len(rows)):
         row = slice(y * size, (y + 1) * size)
-        free = int.from_bytes(bits[row], "little") & ~(above if y == last + 1 else 0)
+        free = int.from_bytes(bits[row], "little") & ~above
         starts = free & ~(free << 1)
         runs = free & ~(free + (starts & even))  # the runs that start at an even column
-        above, last = (runs & even) | (free & ~runs & ~even), y
+        above = (runs & even) | (free & ~runs & ~even)
         bits[row] = above.to_bytes(size, "little")
     return np.unpackbits(rows, axis=1, count=cand.shape[1], bitorder="little").view(bool), x0, y0
 

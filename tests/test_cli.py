@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stegrle import carrier
 from stegrle.cli import IO_ERROR_EXIT, main
 from stegrle.errors import StegRleError
 from stegrle.image import Rect, load_pgm, save_pgm, write_pgm
@@ -42,6 +43,23 @@ def test_gen_carrier_writes_valid_pgm(tmp_path, capsys):
     img = load_pgm(path)
     assert img.shape == (48, 64)
     assert img.any()
+
+
+def test_gen_carrier_pixel_budget_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(carrier, "np", None)  # the refusal must come before any numpy call
+    code, _, err = run(
+        capsys, "gen-carrier", "--out", tmp_path / "c.pgm", "--width", 16385, "--height", 16384
+    )
+    assert code == 25
+    assert "error: PixelBudgetExceeded" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_carrier_bad_blob_value_is_a_value_error(tmp_path, capsys):
+    code, _, err = run(capsys, "gen-carrier", "--out", tmp_path / "c.pgm", "--blob-value", 0)
+    assert code == 2
+    assert err.startswith("error: ValueError: blob_value must be in 1..255")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- embed / extract ---
@@ -114,6 +132,19 @@ def test_embed_message_file(tmp_path, capsys, carrier_pgm):
     assert code == 0
     code, out, _ = run(capsys, "extract", "--in", stego, "--out", tmp_path / "r.pgm")
     assert "message: hello ward 9" in out
+
+
+def test_embed_message_file_not_utf8_exit(tmp_path, capsys, carrier_pgm):
+    message_file = tmp_path / "msg.txt"
+    message_file.write_bytes(b"caf\xe9")  # Latin-1, not UTF-8
+    code, _, err = run(
+        capsys, "embed", "--in", carrier_pgm, "--out", tmp_path / "s.pgm",
+        "--roi", "1,1,60,60", "--message-file", message_file,
+    )
+    assert code == 14
+    assert "error: NonLatinCharacter" in err
+    assert "is not UTF-8 text" in err
+    assert not (tmp_path / "s.pgm").exists()
 
 
 def test_embed_capacity_exceeded_exit(tmp_path, capsys, carrier_pgm):

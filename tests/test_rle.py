@@ -86,10 +86,16 @@ def test_decode_constant_run():
 
 
 def test_decode_length_mismatch():
-    # a negative or zero-length run is refused as deserialize refuses it
-    for runs in ([(5, 3)], [(5, 5), (6, -1)], [(5, 4), (6, 0)]):
+    # a short sum, a negative or zero-length run, or a zero side is refused as deserialize refuses it
+    for stream in (
+        stream_of(2, 2, [(5, 3)]),
+        stream_of(2, 2, [(5, 5), (6, -1)]),
+        stream_of(2, 2, [(5, 4), (6, 0)]),
+        stream_of(0, 4, []),
+        stream_of(4, 0, []),
+    ):
         with pytest.raises(LengthMismatch):
-            rle_decode(stream_of(2, 2, runs))
+            rle_decode(stream)
 
 
 def test_decode_tolerates_non_canonical_runs():

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_candidates, brute_extract, brute_greedy_sites, brute_isolated_nonzero
+from stegrle import carrier
 from stegrle.carrier import synthetic_carrier
 from stegrle.errors import (
     AmbiguousCarrier,
     CapacityExceeded,
     NonLatinCharacter,
     NulCharacter,
+    PixelBudgetExceeded,
     RectOutOfBounds,
 )
 from stegrle.image import Rect
@@ -204,6 +206,14 @@ def test_synthetic_carrier_is_clean_for_every_geometry():
                         )
                         assert validate_carrier(img) == []
                         assert extract(img)[0] == b""
+
+
+def test_synthetic_carrier_checks_the_pixel_budget_before_allocating(monkeypatch):
+    monkeypatch.setattr(carrier, "np", None)  # any numpy call would raise AttributeError
+    with pytest.raises(PixelBudgetExceeded):
+        synthetic_carrier(2**14 + 1, 2**14)
+    with pytest.raises(AttributeError):  # the full budget passes the check
+        synthetic_carrier(2**14, 2**14)
 
 
 # --- embedding ---
