@@ -58,13 +58,18 @@ def as_gray(pixels) -> np.ndarray:
         raise ValueError(f"grayscale image must be 2-D, got shape {img.shape}")
     if img.shape[0] < 1 or img.shape[1] < 1:
         raise ValueError(f"image dimensions must be at least 1x1, got {img.shape}")
-    if img.dtype != np.uint8:
-        if not np.issubdtype(img.dtype, np.integer):
-            raise ValueError(f"pixel values must be integers, got dtype {img.dtype}")
-        if img.min() < 0 or img.max() > 255:
+    return check_values(img)
+
+
+def check_values(values) -> np.ndarray:
+    """Return values as uint8 if they are integers in 0..255; refuse, never wrap, any others."""
+    values = np.asarray(values)
+    if values.dtype != np.uint8 and values.size:  # np.asarray([]) is float64 yet holds no value to refuse
+        if not np.issubdtype(values.dtype, np.integer):
+            raise ValueError(f"pixel values must be integers, got dtype {values.dtype}")
+        if values.min() < 0 or values.max() > 255:
             raise ValueError("pixel values must lie in 0..255")
-        img = img.astype(np.uint8)
-    return img
+    return values.astype(np.uint8, copy=False)
 
 
 def to_grayscale(rgb) -> np.ndarray:

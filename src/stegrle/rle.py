@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadMagic, LengthMismatch, TrailingGarbage, Truncated, UnsupportedVersion
-from .image import as_gray, check_pixels
+from .image import as_gray, check_pixels, check_values
 
 MAGIC = b"SRLE"
 VERSION = 1
@@ -77,7 +77,7 @@ def _check_lengths(lengths, width: int, height: int) -> np.ndarray:
 def rle_decode(stream: RunLengthStream) -> np.ndarray:
     """Expand a run-length stream back into the original image."""
     lengths = _check_lengths(stream.lengths, stream.width, stream.height)
-    flat = np.repeat(np.asarray(stream.values, dtype=np.uint8), lengths)
+    flat = np.repeat(check_values(stream.values), lengths)
     return flat.reshape(stream.height, stream.width)
 
 
@@ -85,7 +85,7 @@ def serialize(stream: RunLengthStream) -> bytes:
     """Pack a run-length stream into SRLE container bytes."""
     count = len(stream.values)
     records = np.empty(count, dtype=RUN_DTYPE)
-    records["value"] = stream.values
+    records["value"] = check_values(stream.values)
     records["length"] = stream.lengths
     header = HEADER.pack(MAGIC, VERSION, stream.width, stream.height, count)
     return header + records.tobytes()

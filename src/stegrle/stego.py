@@ -88,7 +88,8 @@ def _claimed(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
     through the run and clears it, which finds the runs that claim their even columns.
     """
     cand, x0, y0 = _candidates(img, roi)
-    rows = np.packbits(cand, axis=1, bitorder="little")  # overwritten row by row with the claims
+    # C order even when cand is Fortran-ordered, so that reshape(-1) below is a view, not a copy
+    rows = np.ascontiguousarray(np.packbits(cand, axis=1, bitorder="little"))
     size, bits = rows.shape[1], rows.reshape(-1).data
     even = int.from_bytes(b"\x55" * size, "little")  # the bits of columns 0, 2, 4, ...
     above = 0
@@ -160,7 +161,7 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
     if len(message) < capacity:  # keep the first len(message) sites: row-major is the fill order
         claimed.ravel()[np.flatnonzero(claimed)[len(message)] :] = False
     stego = img.copy()
-    stego[y0 : y0 + len(claimed), x0 : x0 + claimed.shape[1]][claimed] = message
+    np.place(stego[y0 : y0 + len(claimed), x0 : x0 + claimed.shape[1]], claimed, message)
     return stego, EmbedReport(len(message), capacity)
 
 
@@ -175,5 +176,5 @@ def extract(stego: np.ndarray) -> tuple[bytes, np.ndarray]:
     stego = as_gray(stego)
     mask = _hidden(stego)
     restored = stego.copy()
-    restored[1:-1, 1:-1][mask] = 0
-    return stego[1:-1, 1:-1][mask].tobytes(), restored
+    restored[1:-1, 1:-1] *= ~mask
+    return np.extract(mask, stego[1:-1, 1:-1]).tobytes(), restored

@@ -98,6 +98,24 @@ def test_decode_length_mismatch():
             rle_decode(stream)
 
 
+@pytest.mark.parametrize(
+    "value, error",
+    [(300, "must lie in 0..255"), (-1, "must lie in 0..255"), (1.5, "must be integers")],
+)
+def test_values_outside_a_byte_are_refused_not_wrapped(value, error):
+    # a container's value field is one byte; 300 used to come back as 44 and -1 as 255
+    stream = RunLengthStream(2, 1, values=np.array([value]), lengths=np.array([2]))
+    for codec in (serialize, rle_decode):
+        with pytest.raises(ValueError, match=f"pixel values {error}"):
+            codec(stream)
+
+
+def test_empty_value_list_still_serializes():
+    # np.asarray([]) is float64, but an empty stream holds no value to refuse
+    container = serialize(RunLengthStream(1, 1, values=[], lengths=[]))
+    assert parse_container(container) == (1, 1, [])
+
+
 def test_decode_tolerates_non_canonical_runs():
     assert rle_decode(stream_of(4, 1, [(5, 2), (5, 2)])).tolist() == [[5, 5, 5, 5]]
 

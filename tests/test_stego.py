@@ -377,6 +377,61 @@ def test_extract_matches_brute_force_on_seeded_images():
         assert restored.tolist() == expected_grid
 
 
+def test_extract_matches_brute_force_on_full_capacity_fills():
+    # every site of a clean carrier written: the densest stego image embed can make
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        img = domino_carrier(rng, rng.integers(3, 40), rng.integers(3, 60))
+        roi = Rect(0, 0, img.shape[1] - 1, img.shape[0] - 1)
+        size = len(embedding_sites(img, roi))
+        message = rng.integers(1, 256, size, dtype=np.uint8).tobytes()
+        stego, _ = embed(img, roi, message)
+        recovered, restored = extract(stego)
+        expected_message, expected_grid = brute_extract(stego)
+        assert recovered == expected_message == message
+        assert restored.tolist() == expected_grid == img.tolist()
+
+
+def layouts(img):
+    """The same pixels as a Fortran-ordered array and as a strided view into a larger one."""
+    big = np.full((2 * img.shape[0], 3 * img.shape[1] + 1), 77, dtype=np.uint8)
+    big[::2, 1::3] = img
+    return [np.asfortranarray(img), big[::2, 1::3]]
+
+
+def test_non_contiguous_inputs_give_the_contiguous_results():
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        img = domino_carrier(rng, rng.integers(3, 20), rng.integers(3, 30))
+        roi = Rect(0, 0, img.shape[1] - 1, img.shape[0] - 1)
+        sites = embedding_sites(img, roi)
+        message = rng.integers(1, 256, max(len(sites) - 1, 0), dtype=np.uint8).tobytes()
+        stego, report = embed(img, roi, message)
+        recovered, restored = extract(stego)
+        for carrier_view, stego_view in zip(layouts(img), layouts(stego)):
+            assert not carrier_view.flags.c_contiguous
+            before = (carrier_view.copy(), stego_view.copy())
+            assert embedding_sites(carrier_view, roi) == sites
+            assert validate_carrier(carrier_view) == []
+            assert validate_carrier(stego_view) == sites[: len(message)]
+            view_stego, view_report = embed(carrier_view, roi, message)
+            assert np.array_equal(view_stego, stego) and view_report == report
+            view_message, view_restored = extract(stego_view)
+            assert view_message == recovered == message
+            assert view_restored.dtype == np.uint8
+            assert np.array_equal(view_restored, restored) and np.array_equal(restored, img)
+            assert np.array_equal(carrier_view, before[0])
+            assert np.array_equal(stego_view, before[1])
+        if sites:  # a byte on its own in the carrier: the same refusal
+            (x, y), ambiguous = sites[0], img.copy()
+            ambiguous[y, x] = 5
+            with pytest.raises(AmbiguousCarrier) as contiguous:
+                embed(ambiguous, roi, message)
+            for carrier_view in layouts(ambiguous):
+                with pytest.raises(AmbiguousCarrier, match=re.escape(str(contiguous.value))):
+                    embed(carrier_view, roi, message)
+
+
 # --- round-trip properties ---
 
 @settings(max_examples=150, deadline=None)
