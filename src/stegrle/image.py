@@ -64,7 +64,7 @@ def as_gray(pixels) -> np.ndarray:
 def check_values(values) -> np.ndarray:
     """Return values as uint8 if they are integers in 0..255; refuse, never wrap, any others."""
     values = np.asarray(values)
-    if values.dtype != np.uint8 and values.size:  # np.asarray([]) is float64 yet holds no value to refuse
+    if values.dtype != np.uint8:
         if not np.issubdtype(values.dtype, np.integer):
             raise ValueError(f"pixel values must be integers, got dtype {values.dtype}")
         if values.min() < 0 or values.max() > 255:

@@ -27,12 +27,34 @@ RUN_DTYPE = np.dtype([("value", "<u1"), ("length", "<u4")])
 
 @dataclass
 class RunLengthStream:
-    """Run-length form of an image: dimensions plus parallel value/length vectors."""
+    """Run-length form of an image: dimensions plus parallel value/length vectors.
+
+    Building one checks the SRLE stream rule; serialize and rle_decode take every stream as valid.
+    """
 
     width: int
     height: int
     values: np.ndarray = field(repr=False)
     lengths: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        """Apply rules 6 and 7 of docs/srle-format.md, equal vector sizes and 0..255 values."""
+        pixels = self.width * self.height
+        if self.width < 1 or self.height < 1:
+            raise LengthMismatch(f"invalid dimensions {self.width}x{self.height}")
+        lengths = np.asarray(self.lengths, dtype=np.int64)
+        if lengths.size and (shortest := int(lengths.min())) < 1:
+            raise LengthMismatch(f"run of length {shortest}; runs must be at least 1 long")
+        if (total := int(lengths.sum())) != pixels:
+            raise LengthMismatch(f"run lengths sum to {total}, image needs {pixels} pixels")
+        check_pixels(self.width, self.height)
+        if int(lengths.max()) > pixels:  # the int64 sum wrapped round to width * height
+            raise LengthMismatch(f"run of length {int(lengths.max())} is longer than the image")
+        values = np.asarray(self.values)
+        if lengths.ndim != 1 or values.shape != lengths.shape:
+            raise LengthMismatch(f"values of shape {values.shape}, lengths of {lengths.shape}")
+        self.values = check_values(values)
+        self.lengths = lengths
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunLengthStream):
@@ -60,35 +82,18 @@ def rle_encode(img: np.ndarray) -> RunLengthStream:
     return RunLengthStream(width, height, values=flat[edges[:-1]], lengths=np.diff(edges))
 
 
-def _check_lengths(lengths, width: int, height: int) -> np.ndarray:
-    """Return lengths as int64 if 1+ long runs cover a 1+ by 1+ image of <= MAX_PIXELS pixels."""
-    if width < 1 or height < 1:
-        raise LengthMismatch(f"invalid dimensions {width}x{height}")
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size and int(lengths.min()) < 1:
-        raise LengthMismatch(f"run of length {int(lengths.min())}; runs must be at least 1 long")
-    total = int(lengths.sum())
-    if total != width * height:
-        raise LengthMismatch(f"run lengths sum to {total}, image needs {width * height} pixels")
-    check_pixels(width, height)
-    return lengths
-
-
 def rle_decode(stream: RunLengthStream) -> np.ndarray:
     """Expand a run-length stream back into the original image."""
-    lengths = _check_lengths(stream.lengths, stream.width, stream.height)
-    flat = np.repeat(check_values(stream.values), lengths)
-    return flat.reshape(stream.height, stream.width)
+    return np.repeat(stream.values, stream.lengths).reshape(stream.height, stream.width)
 
 
 def serialize(stream: RunLengthStream) -> bytes:
     """Pack a run-length stream into SRLE container bytes."""
     count = len(stream.values)
     records = np.empty(count, dtype=RUN_DTYPE)
-    records["value"] = check_values(stream.values)
-    records["length"] = stream.lengths
-    header = HEADER.pack(MAGIC, VERSION, stream.width, stream.height, count)
-    return header + records.tobytes()
+    records["value"] = stream.values
+    records["length"] = stream.lengths  # fits the u32: runs sum to at most MAX_PIXELS = 2**28
+    return HEADER.pack(MAGIC, VERSION, stream.width, stream.height, count) + records.tobytes()
 
 
 def deserialize(data: bytes) -> RunLengthStream:
@@ -107,10 +112,4 @@ def deserialize(data: bytes) -> RunLengthStream:
     if len(data) > expected_size:
         raise TrailingGarbage(f"{len(data) - expected_size} byte(s) after last run")
     records = np.frombuffer(data, dtype=RUN_DTYPE, count=count, offset=HEADER.size)
-    lengths = _check_lengths(records["length"], width, height)
-    return RunLengthStream(
-        width=width,
-        height=height,
-        values=records["value"].copy(),
-        lengths=lengths,
-    )
+    return RunLengthStream(width, height, values=records["value"].copy(), lengths=records["length"])

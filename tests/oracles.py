@@ -221,3 +221,18 @@ def parse_container(data):
         length = int.from_bytes(data[offset + 1 : offset + 5], "little")
         runs.append((value, length))
     return width, height, runs
+
+
+def pack_container(width, height, runs):
+    """Independent SRLE packer, the inverse of parse_container.
+
+    Writes the header fields and (value, length) records exactly as given,
+    valid or not, with int.to_bytes, so tests can build hostile containers
+    without the serializer under test.
+    """
+    data = b"SRLE" + bytes([1])
+    for number in (width, height, len(runs)):
+        data += number.to_bytes(4, "little")
+    for value, length in runs:
+        data += bytes([value]) + length.to_bytes(4, "little")
+    return data

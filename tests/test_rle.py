@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import brute_rle, brute_rle_expand, parse_container
+from oracles import brute_rle, brute_rle_expand, pack_container, parse_container
 from stegrle.errors import (
     BadMagic,
     LengthMismatch,
@@ -86,16 +86,23 @@ def test_decode_constant_run():
 
 
 def test_decode_length_mismatch():
-    # a short sum, a negative or zero-length run, or a zero side is refused as deserialize refuses it
-    for stream in (
-        stream_of(2, 2, [(5, 3)]),
-        stream_of(2, 2, [(5, 5), (6, -1)]),
-        stream_of(2, 2, [(5, 4), (6, 0)]),
-        stream_of(0, 4, []),
-        stream_of(4, 0, []),
+    # a short sum, a negative or zero-length run or a zero side is refused when the stream is
+    # built, as deserialize refuses it; so are unequal vectors, which serialize would broadcast
+    # into a container of [[5, 5, 6, 6]], and lengths the u32 field would wrap to 1, directly
+    # or through an int64 sum that wraps round to width * height
+    for width, height, values, lengths in (
+        (2, 2, [5], [3]),
+        (2, 2, [5, 6], [5, -1]),
+        (2, 2, [5, 6], [4, 0]),
+        (0, 4, [], []),
+        (4, 0, [], []),
+        (4, 1, [5, 6], [2]),
+        (2, 1, [5, 6], [2]),
+        (1, 1, [5], [2**32 + 1]),
+        (1, 1, [5, 6, 7], [2**63 - 1, 2**63 - 1, 3]),
     ):
         with pytest.raises(LengthMismatch):
-            rle_decode(stream)
+            RunLengthStream(width, height, values, lengths)
 
 
 @pytest.mark.parametrize(
@@ -104,20 +111,40 @@ def test_decode_length_mismatch():
 )
 def test_values_outside_a_byte_are_refused_not_wrapped(value, error):
     # a container's value field is one byte; 300 used to come back as 44 and -1 as 255
-    stream = RunLengthStream(2, 1, values=np.array([value]), lengths=np.array([2]))
-    for codec in (serialize, rle_decode):
-        with pytest.raises(ValueError, match=f"pixel values {error}"):
-            codec(stream)
+    with pytest.raises(ValueError, match=f"pixel values {error}"):
+        RunLengthStream(2, 1, values=np.array([value]), lengths=np.array([2]))
 
 
-def test_empty_value_list_still_serializes():
-    # np.asarray([]) is float64, but an empty stream holds no value to refuse
-    container = serialize(RunLengthStream(1, 1, values=[], lengths=[]))
-    assert parse_container(container) == (1, 1, [])
+def test_empty_stream_is_refused():
+    # no image has 0 pixels, so a stream with no runs is refused before its values are looked at
+    with pytest.raises(LengthMismatch, match="run lengths sum to 0, image needs 1 pixels"):
+        RunLengthStream(1, 1, values=[], lengths=[])
 
 
 def test_decode_tolerates_non_canonical_runs():
     assert rle_decode(stream_of(4, 1, [(5, 2), (5, 2)])).tolist() == [[5, 5, 5, 5]]
+
+
+@st.composite
+def hand_built_runs(draw):
+    """(width, height, runs) for a valid stream: any cut of the pixels, equal neighbours allowed."""
+    width, height = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    pixels = width * height
+    edges = sorted(set(draw(st.lists(st.integers(0, pixels), max_size=40))) | {0, pixels})
+    values = st.integers(0, 1) | st.integers(0, 255)  # 0..1 makes adjacent equal values common
+    return width, height, [(draw(values), end - start) for start, end in zip(edges, edges[1:])]
+
+
+@given(hand_built_runs())
+def test_hand_built_streams_serialize_and_decode(args):
+    width, height, runs = args
+    stream = RunLengthStream(width, height, [v for v, _ in runs], [n for _, n in runs])
+    assert (stream.values.dtype, stream.lengths.dtype) == (np.uint8, np.int64)
+    assert deserialize(serialize(stream)) == stream
+    assert parse_container(serialize(stream)) == (width, height, stream.runs())
+    pixels = rle_decode(stream)
+    assert pixels.shape == (height, width)
+    assert pixels.ravel().tolist() == brute_rle_expand(runs)
 
 
 @given(images)
@@ -207,37 +234,36 @@ def test_deserialize_trailing_garbage():
 
 
 def test_deserialize_sum_mismatch():
-    data = serialize(stream_of(2, 2, [(5, 3)]))
+    data = pack_container(2, 2, [(5, 3)])
     with pytest.raises(LengthMismatch):
         deserialize(data)
 
 
 def test_deserialize_zero_length_run():
-    data = serialize(stream_of(1, 1, [(5, 0), (9, 1)]))
+    data = pack_container(1, 1, [(5, 0), (9, 1)])
     with pytest.raises(LengthMismatch):
         deserialize(data)
 
 
 def test_deserialize_zero_dimension():
-    data = serialize(stream_of(0, 4, []))
+    data = pack_container(0, 4, [])
     with pytest.raises(LengthMismatch):
         deserialize(data)
 
 
 # 65535x65535 pixels in one run: 22 bytes that would decode to about 4 GiB
-PIXEL_BOMB = stream_of(65535, 65535, [(0, 65535 * 65535)])
+PIXEL_BOMB = pack_container(65535, 65535, [(0, 65535 * 65535)])
 
 
 def test_deserialize_refuses_a_pixel_bomb():
-    data = serialize(PIXEL_BOMB)
-    assert len(data) == 22
+    assert len(PIXEL_BOMB) == 22
     with pytest.raises(PixelBudgetExceeded):
-        deserialize(data)
+        deserialize(PIXEL_BOMB)
 
 
 def test_decode_refuses_a_pixel_bomb():
     with pytest.raises(PixelBudgetExceeded):
-        rle_decode(PIXEL_BOMB)
+        stream_of(65535, 65535, [(0, 65535 * 65535)])
 
 
 def test_deserialize_accepts_the_full_pixel_budget():
