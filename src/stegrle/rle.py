@@ -25,11 +25,12 @@ HEADER = struct.Struct("<4sBIII")
 RUN_DTYPE = np.dtype([("value", "<u1"), ("length", "<u4")])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunLengthStream:
     """Run-length form of an image: dimensions plus parallel value/length vectors.
 
     Building one checks the SRLE stream rule; serialize and rle_decode take every stream as valid.
+    It is read-only once built, but keeps the arrays it is given (as read-only views, not copies).
     """
 
     width: int
@@ -42,7 +43,10 @@ class RunLengthStream:
         pixels = self.width * self.height
         if self.width < 1 or self.height < 1:
             raise LengthMismatch(f"invalid dimensions {self.width}x{self.height}")
-        lengths = np.asarray(self.lengths, dtype=np.int64)
+        lengths = np.asarray(self.lengths)
+        if lengths.size and not np.issubdtype(lengths.dtype, np.integer):  # [] is float64
+            raise LengthMismatch(f"run lengths must be integers, got dtype {lengths.dtype}")
+        lengths = lengths.astype(np.int64, copy=False)  # uint64 of 2**63 or more turns negative
         if lengths.size and (shortest := int(lengths.min())) < 1:
             raise LengthMismatch(f"run of length {shortest}; runs must be at least 1 long")
         if (total := int(lengths.sum())) != pixels:
@@ -53,8 +57,10 @@ class RunLengthStream:
         values = np.asarray(self.values)
         if lengths.ndim != 1 or values.shape != lengths.shape:
             raise LengthMismatch(f"values of shape {values.shape}, lengths of {lengths.shape}")
-        self.values = check_values(values)
-        self.lengths = lengths
+        for name, array in (("values", check_values(values)), ("lengths", lengths)):
+            view = array.view()  # read-only without freezing the caller's own array
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunLengthStream):

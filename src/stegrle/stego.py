@@ -88,19 +88,18 @@ def _claimed(img: np.ndarray, roi: Rect) -> tuple[np.ndarray, int, int]:
     through the run and clears it, which finds the runs that claim their even columns.
     """
     cand, x0, y0 = _candidates(img, roi)
-    # C order even when cand is Fortran-ordered, so that reshape(-1) below is a view, not a copy
-    rows = np.ascontiguousarray(np.packbits(cand, axis=1, bitorder="little"))
-    size, bits = rows.shape[1], rows.reshape(-1).data
+    rows = np.packbits(cand, axis=1, bitorder="little")
+    size, bits = rows.shape[1], rows.tobytes()  # tobytes is row-major for any layout
     even = int.from_bytes(b"\x55" * size, "little")  # the bits of columns 0, 2, 4, ...
-    above = 0
+    above, claims = 0, bytearray()
     for y in range(len(rows)):
-        row = slice(y * size, (y + 1) * size)
-        free = int.from_bytes(bits[row], "little") & ~above
+        free = int.from_bytes(bits[y * size : (y + 1) * size], "little") & ~above
         starts = free & ~(free << 1)
         runs = free & ~(free + (starts & even))  # the runs that start at an even column
         above = (runs & even) | (free & ~runs & ~even)
-        bits[row] = above.to_bytes(size, "little")
-    return np.unpackbits(rows, axis=1, count=cand.shape[1], bitorder="little").view(bool), x0, y0
+        claims += above.to_bytes(size, "little")
+    claimed = np.frombuffer(claims, np.uint8).reshape(rows.shape)
+    return np.unpackbits(claimed, axis=1, count=cand.shape[1], bitorder="little").view(bool), x0, y0
 
 
 def scan_candidates(img: np.ndarray, roi: Rect) -> list[Site]:
@@ -158,10 +157,10 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
             capacity=capacity,
             needed=len(message),
         )
-    if len(message) < capacity:  # keep the first len(message) sites: row-major is the fill order
-        claimed.ravel()[np.flatnonzero(claimed)[len(message)] :] = False
+    # claimed sites are zero in the carrier, so the zeros after the message change no pixel
+    fill = np.concatenate([message, np.zeros(capacity - len(message), np.uint8)])
     stego = img.copy()
-    np.place(stego[y0 : y0 + len(claimed), x0 : x0 + claimed.shape[1]], claimed, message)
+    np.place(stego[y0 : y0 + len(claimed), x0 : x0 + claimed.shape[1]], claimed, fill)
     return stego, EmbedReport(len(message), capacity)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import pack_container
 from stegrle import carrier
 from stegrle.cli import IO_ERROR_EXIT, main
 from stegrle.errors import StegRleError
@@ -112,15 +113,6 @@ def test_embed_allow_empty_is_identity(tmp_path, capsys, carrier_pgm):
     assert stego.read_bytes() == carrier_pgm.read_bytes()
 
 
-def test_embed_empty_message_needs_flag(tmp_path, capsys, carrier_pgm):
-    code, _, err = run(
-        capsys, "embed", "--in", carrier_pgm, "--out", tmp_path / "s.pgm",
-        "--roi", "1,1,60,60", "--message", "",
-    )
-    assert code == 24
-    assert "error: EmptyMessage" in err
-
-
 def test_embed_message_file(tmp_path, capsys, carrier_pgm):
     message_file = tmp_path / "msg.txt"
     message_file.write_text("hello ward 9", encoding="utf-8")
@@ -132,37 +124,6 @@ def test_embed_message_file(tmp_path, capsys, carrier_pgm):
     assert code == 0
     code, out, _ = run(capsys, "extract", "--in", stego, "--out", tmp_path / "r.pgm")
     assert "message: hello ward 9" in out
-
-
-def test_embed_message_file_not_utf8_exit(tmp_path, capsys, carrier_pgm):
-    message_file = tmp_path / "msg.txt"
-    message_file.write_bytes(b"caf\xe9")  # Latin-1, not UTF-8
-    code, _, err = run(
-        capsys, "embed", "--in", carrier_pgm, "--out", tmp_path / "s.pgm",
-        "--roi", "1,1,60,60", "--message-file", message_file,
-    )
-    assert code == 14
-    assert "error: NonLatinCharacter" in err
-    assert "is not UTF-8 text" in err
-    assert not (tmp_path / "s.pgm").exists()
-
-
-def test_embed_capacity_exceeded_exit(tmp_path, capsys, carrier_pgm):
-    code, _, err = run(
-        capsys, "embed", "--in", carrier_pgm, "--out", tmp_path / "s.pgm",
-        "--roi", "1,1,3,3", "--message", "far too long for four pixels",
-    )
-    assert code == 16
-    assert "error: CapacityExceeded" in err
-
-
-def test_embed_roi_out_of_bounds_exit(tmp_path, capsys, carrier_pgm):
-    code, _, err = run(
-        capsys, "embed", "--in", carrier_pgm, "--out", tmp_path / "s.pgm",
-        "--roi", "0,0,256,10", "--message", "x",
-    )
-    assert code == 13
-    assert "error: RectOutOfBounds" in err
 
 
 def test_extract_of_plain_zero_image(tmp_path, capsys, zero_pgm):
@@ -201,73 +162,6 @@ def test_compress_expanding_image_still_succeeds(tmp_path, capsys):
     assert ratio < 1
 
 
-def test_decompress_bad_magic_exit(tmp_path, capsys):
-    bad = tmp_path / "bad.srle"
-    bad.write_bytes(b"XRLE" + bytes(18))
-    code, _, err = run(capsys, "decompress", "--in", bad, "--out", tmp_path / "o.pgm")
-    assert code == 19
-    assert "error: BadMagic" in err
-
-
-def test_decompress_truncated_exit(tmp_path, capsys, zero_pgm):
-    container = serialize(rle_encode(load_pgm(zero_pgm)))
-    cut = tmp_path / "cut.srle"
-    cut.write_bytes(container[:-2])
-    code, _, err = run(capsys, "decompress", "--in", cut, "--out", tmp_path / "o.pgm")
-    assert code == 21
-    assert "error: Truncated" in err
-
-
-def test_decompress_trailing_garbage_exit(tmp_path, capsys, zero_pgm):
-    container = serialize(rle_encode(load_pgm(zero_pgm)))
-    fat = tmp_path / "fat.srle"
-    fat.write_bytes(container + b"!")
-    code, _, err = run(capsys, "decompress", "--in", fat, "--out", tmp_path / "o.pgm")
-    assert code == 22
-    assert "error: TrailingGarbage" in err
-
-
-def test_decompress_unsupported_version_exit(tmp_path, capsys, zero_pgm):
-    container = serialize(rle_encode(load_pgm(zero_pgm)))
-    versioned = tmp_path / "v2.srle"
-    versioned.write_bytes(container[:4] + bytes([9]) + container[5:])
-    code, _, err = run(capsys, "decompress", "--in", versioned, "--out", tmp_path / "o.pgm")
-    assert code == 20
-    assert "error: UnsupportedVersion" in err
-
-
-def test_decompress_length_mismatch_exit(tmp_path, capsys):
-    # header says 2x2 but the single run covers 3 pixels
-    body = b"SRLE\x01" + (2).to_bytes(4, "little") * 2 + (1).to_bytes(4, "little")
-    body += bytes([5]) + (3).to_bytes(4, "little")
-    bad = tmp_path / "sum.srle"
-    bad.write_bytes(body)
-    code, _, err = run(capsys, "decompress", "--in", bad, "--out", tmp_path / "o.pgm")
-    assert code == 18
-    assert "error: LengthMismatch" in err
-
-
-def test_decompress_pixel_budget_exit(tmp_path, capsys):
-    # 22 bytes declaring 65535x65535 pixels in one run
-    body = b"SRLE\x01" + (65535).to_bytes(4, "little") * 2 + (1).to_bytes(4, "little")
-    body += bytes([0]) + (65535 * 65535).to_bytes(4, "little")
-    bomb = tmp_path / "bomb.srle"
-    bomb.write_bytes(body)
-    code, _, err = run(capsys, "decompress", "--in", bomb, "--out", tmp_path / "o.pgm")
-    assert code == 25
-    assert "error: PixelBudgetExceeded" in err
-    assert not (tmp_path / "o.pgm").exists()
-
-
-def test_compress_pixel_budget_exit(tmp_path, capsys):
-    big = tmp_path / "big.pgm"
-    big.write_bytes(b"P5 16385 16384 255\n\x00")  # one pixel over the budget, no raster
-    code, _, err = run(capsys, "compress", "--in", big, "--out", tmp_path / "o.srle")
-    assert code == 25
-    assert "error: PixelBudgetExceeded" in err
-    assert not (tmp_path / "o.srle").exists()
-
-
 # --- metrics ---
 
 def test_metrics_identical_files(capsys, zero_pgm):
@@ -287,14 +181,6 @@ def test_metrics_golden_pair(tmp_path, capsys, zero_pgm):
     assert code == 0
     assert "mse: 0.9565" in out
     assert "psnr: 48.3240" in out
-
-
-def test_metrics_dimension_mismatch_exit(tmp_path, capsys, zero_pgm):
-    small = tmp_path / "small.pgm"
-    save_pgm(small, np.zeros((4, 4), dtype=np.uint8))
-    code, _, err = run(capsys, "metrics", zero_pgm, small)
-    assert code == 23
-    assert "error: DimensionMismatch" in err
 
 
 # --- pipeline ---
@@ -323,6 +209,50 @@ def test_pipeline_reports_and_outputs(tmp_path, capsys, carrier_pgm):
     assert csv_path.read_bytes().count(b"\r\n") == len(lines)  # csv's own line ends
     written = {"carrier.pgm", "report.csv", "stego.pgm", "c.srle", "restored.pgm"}
     assert set(os.listdir(tmp_path)) == written  # no temporary file is left behind
+
+
+PAPER_REPORT = """\
+bytes hidden: 11
+round-trip: verified lossless
+
+phase              seconds
+data-hiding         X.XXXX
+rle-encode          X.XXXX
+rle-decode          X.XXXX
+data-retrieval      X.XXXX
+total               X.XXXX
+
+comparison                   mse      psnr
+carrier vs stego          0.9565   48.3240
+carrier vs restored            0  Infinity
+"""
+
+PAPER_CSV = (
+    "section,label,seconds,mse,psnr\r\n"
+    "timing,data-hiding,X.XXXXXX,,\r\n"
+    "timing,rle-encode,X.XXXXXX,,\r\n"
+    "timing,rle-decode,X.XXXXXX,,\r\n"
+    "timing,data-retrieval,X.XXXXXX,,\r\n"
+    "timing,total,X.XXXXXX,,\r\n"
+    "quality,carrier vs stego,,0.956482,48.324036\r\n"
+    "quality,carrier vs restored,,0.000000,Infinity\r\n"
+)
+
+
+def test_pipeline_report_layout_is_pinned(tmp_path, capsys, carrier_pgm):
+    # the paper case; only the seconds cells of the timing rows are masked
+    capsys.readouterr()  # drop what the carrier fixture printed
+    csv_path = tmp_path / "report.csv"
+    code, out, err = run(
+        capsys, "pipeline", "--in", carrier_pgm, "--roi", "1,1,60,60",
+        "--message", "GRI pid:007", "--csv", csv_path,
+    )
+    assert (code, err) == (0, "")
+    assert re.sub(r"(?m)^(\S+ +)\d\.\d{4}$", r"\1X.XXXX", out) == (
+        PAPER_REPORT + f"\ncsv written: {csv_path}\n"
+    )
+    csv_text = csv_path.read_bytes().decode("ascii")
+    assert re.sub(r"(?m)^(timing,[^,]+,)\d\.\d{6}", r"\1X.XXXXXX", csv_text) == PAPER_CSV
 
 
 @pytest.mark.parametrize(
@@ -371,41 +301,125 @@ def test_pipeline_capacity_error_names_phase(tmp_path, capsys, carrier_pgm):
 
 # --- error wiring ---
 
-def test_missing_input_is_io_error(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "extract", "--in", tmp_path / "nope.pgm", "--out", tmp_path / "o.pgm"
-    )
-    assert code == 3
-    assert "error: IOError" in err
+ZERO_IMAGE = np.zeros((256, 256), dtype=np.uint8)
+ZERO_CONTAINER = serialize(rle_encode(ZERO_IMAGE))
+LONE_PIXEL = np.zeros((16, 16), dtype=np.uint8)
+LONE_PIXEL[8, 8] = 77  # an isolated nonzero pixel, which extract would read as a byte
+EMBED = ("embed", "--in", "{carrier}", "--out", "{out}")
 
 
-def test_malformed_pgm_exit(tmp_path, capsys):
-    bad = tmp_path / "bad.pgm"
-    bad.write_bytes(b"P9\n1 1\n255\n\x00")
-    code, _, err = run(capsys, "extract", "--in", bad, "--out", tmp_path / "o.pgm")
-    assert code == 10
-    assert "error: MalformedHeader" in err
+def refusal(name, code, token, fragment, *argv, **files):
+    """A table row: argv with {placeholders}, the input files it names, and the refusal."""
+    return pytest.param(argv, files, code, token, fragment, id=name)
 
 
-def test_truncated_pgm_exit(tmp_path, capsys):
-    bad = tmp_path / "bad.pgm"
-    bad.write_bytes(b"P5\n4 4\n255\n\x00\x00")
-    code, _, err = run(capsys, "extract", "--in", bad, "--out", tmp_path / "o.pgm")
-    assert code == 11
-    assert "error: TruncatedData" in err
+REFUSALS = [
+    refusal(
+        "embed-empty-message", 24, "EmptyMessage", "pass --allow-empty to permit this",
+        *EMBED, "--roi", "1,1,60,60", "--message", "",
+    ),
+    refusal(
+        "embed-message-file-not-utf8", 14, "NonLatinCharacter", "is not UTF-8 text",
+        *EMBED, "--roi", "1,1,60,60", "--message-file", "{msg}",
+        msg=b"caf\xe9",  # Latin-1, not UTF-8
+    ),
+    refusal(
+        "embed-nul-character", 15, "NulCharacter", "NUL cannot be hidden",
+        *EMBED, "--roi", "1,1,60,60", "--message", "a\x00b",
+    ),
+    refusal(
+        "embed-capacity-exceeded", 16, "CapacityExceeded", "message needs 28 sites",
+        *EMBED, "--roi", "1,1,3,3", "--message", "far too long for four pixels",
+    ),
+    refusal(
+        "embed-roi-out-of-bounds", 13, "RectOutOfBounds", "x1=256 outside image of width 256",
+        *EMBED, "--roi", "0,0,256,10", "--message", "x",
+    ),
+    refusal(
+        "embed-negative-roi-corner", 13, "RectOutOfBounds", "need 0 <= x0 <= x1",
+        *EMBED, "--roi=-1,0,5,5", "--message", "x",
+    ),
+    refusal(
+        "embed-ambiguous-carrier", 17, "AmbiguousCarrier", "first at (8, 8)",
+        "embed", "--in", "{noisy}", "--out", "{out}", "--roi", "1,1,14,14", "--message", "x",
+        noisy=write_pgm(LONE_PIXEL),
+    ),
+    refusal(
+        "decompress-bad-magic", 19, "BadMagic", "expected b'SRLE'",
+        "decompress", "--in", "{bad}", "--out", "{out}",
+        bad=b"XRLE" + bytes(18),
+    ),
+    refusal(
+        "decompress-truncated", 21, "Truncated", "container needs",
+        "decompress", "--in", "{cut}", "--out", "{out}",
+        cut=ZERO_CONTAINER[:-2],
+    ),
+    refusal(
+        "decompress-trailing-garbage", 22, "TrailingGarbage", "1 byte(s) after last run",
+        "decompress", "--in", "{fat}", "--out", "{out}",
+        fat=ZERO_CONTAINER + b"!",
+    ),
+    refusal(
+        "decompress-unsupported-version", 20, "UnsupportedVersion", "version 9 not supported",
+        "decompress", "--in", "{versioned}", "--out", "{out}",
+        versioned=ZERO_CONTAINER[:4] + bytes([9]) + ZERO_CONTAINER[5:],
+    ),
+    refusal(
+        "decompress-length-mismatch", 18, "LengthMismatch", "sum to 3, image needs 4 pixels",
+        "decompress", "--in", "{short}", "--out", "{out}",
+        short=pack_container(2, 2, [(5, 3)]),  # the single run covers 3 of 4 pixels
+    ),
+    refusal(
+        "decompress-pixel-budget", 25, "PixelBudgetExceeded", "65535x65535 image",
+        "decompress", "--in", "{bomb}", "--out", "{out}",
+        bomb=pack_container(65535, 65535, [(0, 65535 * 65535)]),  # 22 bytes
+    ),
+    refusal(
+        "compress-pixel-budget", 25, "PixelBudgetExceeded", "16385x16384 image",
+        "compress", "--in", "{big}", "--out", "{out}",
+        big=b"P5 16385 16384 255\n\x00",  # one pixel over the budget, no raster
+    ),
+    refusal(
+        "extract-missing-input", IO_ERROR_EXIT, "IOError", "No such file or directory",
+        "extract", "--in", "{nope}", "--out", "{out}",
+    ),
+    refusal(
+        "extract-malformed-pgm", 10, "MalformedHeader", "not a PGM file",
+        "extract", "--in", "{bad}", "--out", "{out}",
+        bad=b"P9\n1 1\n255\n\x00",
+    ),
+    refusal(
+        "extract-truncated-pgm", 11, "TruncatedData", "expected 16 pixel bytes, found 2",
+        "extract", "--in", "{bad}", "--out", "{out}",
+        bad=b"P5\n4 4\n255\n\x00\x00",
+    ),
+    refusal(
+        "extract-unsupported-maxval", 12, "UnsupportedMaxval", "maxval 65535 exceeds 255",
+        "extract", "--in", "{wide}", "--out", "{out}",
+        wide=b"P5 1 1 65535\n\x00\x00",
+    ),
+    refusal(
+        "metrics-dimension-mismatch", 23, "DimensionMismatch", "image shapes differ",
+        "metrics", "{zero}", "{small}",
+        zero=write_pgm(ZERO_IMAGE), small=write_pgm(np.zeros((4, 4), dtype=np.uint8)),
+    ),
+]
 
 
-def test_ambiguous_carrier_exit(tmp_path, capsys):
-    img = np.zeros((16, 16), dtype=np.uint8)
-    img[8, 8] = 77
-    noisy = tmp_path / "noisy.pgm"
-    save_pgm(noisy, img)
-    code, _, err = run(
-        capsys, "embed", "--in", noisy, "--out", tmp_path / "s.pgm",
-        "--roi", "1,1,14,14", "--message", "x",
-    )
-    assert code == 17
-    assert "error: AmbiguousCarrier" in err
+@pytest.mark.parametrize("argv, files, code, token, fragment", REFUSALS)
+def test_refusal_prints_one_error_line_and_leaves_no_file(
+    tmp_path, capsys, carrier_pgm, argv, files, code, token, fragment
+):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()  # drop what the carrier fixture printed
+    paths = {name: tmp_path / name for name in (*files, "out", "nope")}
+    status, out, err = run(capsys, *(arg.format(carrier=carrier_pgm, **paths) for arg in argv))
+    assert (status, out) == (code, "")
+    assert err.startswith(f"error: {token}: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert fragment in err
+    assert sorted(os.listdir(tmp_path)) == before  # no output, no temporary file
 
 
 def test_roi_argument_validation(capsys, carrier_pgm, tmp_path):
@@ -417,15 +431,6 @@ def test_roi_argument_validation(capsys, carrier_pgm, tmp_path):
                 "--roi", roi, "--message", "x",
             ])
         assert exit_info.value.code == 2
-
-
-def test_negative_roi_corner_reaches_rect_check(capsys, carrier_pgm, tmp_path):
-    code, _, err = run(
-        capsys, "embed", "--in", carrier_pgm, "--out", tmp_path / "s.pgm",
-        "--roi=-1,0,5,5", "--message", "x",
-    )
-    assert code == 13
-    assert "error: RectOutOfBounds" in err
 
 
 def test_integer_options_take_ascii_digits_only(capsys, tmp_path):

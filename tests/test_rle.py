@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -100,6 +101,11 @@ def test_decode_length_mismatch():
         (2, 1, [5, 6], [2]),
         (1, 1, [5], [2**32 + 1]),
         (1, 1, [5, 6, 7], [2**63 - 1, 2**63 - 1, 3]),
+        # non-integer lengths used to be truncated or parsed, and huge ones raised OverflowError
+        (2, 1, [5], [2.7]),
+        (2, 1, [5], ["2"]),
+        (2, 1, [5], [np.uint64(2**64 - 1)]),
+        (2, 1, [5], [2**64]),
     ):
         with pytest.raises(LengthMismatch):
             RunLengthStream(width, height, values, lengths)
@@ -119,6 +125,30 @@ def test_empty_stream_is_refused():
     # no image has 0 pixels, so a stream with no runs is refused before its values are looked at
     with pytest.raises(LengthMismatch, match="run lengths sum to 0, image needs 1 pixels"):
         RunLengthStream(1, 1, values=[], lengths=[])
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        # each change once reached serialize: value byte 44 and an rle_decode of [[300, 300]],
+        # a run written as 2, and a 3x1 container that deserialize refuses
+        (lambda s: setattr(s, "values", np.array([300])), dataclasses.FrozenInstanceError),
+        (lambda s: s.lengths.__setitem__(0, 2**32 + 2), ValueError),
+        (lambda s: setattr(s, "width", 3), dataclasses.FrozenInstanceError),
+    ],
+    ids=["values", "lengths-item", "width"],
+)
+def test_stream_cannot_change_after_it_is_checked(change, error):
+    values, lengths = np.array([5], dtype=np.uint8), np.array([2], dtype=np.int64)
+    stream = RunLengthStream(2, 1, values, lengths)
+    with pytest.raises(error):
+        change(stream)
+    assert serialize(stream) == pack_container(2, 1, [(5, 2)])
+    assert rle_decode(stream).tolist() == [[5, 5]]
+    with pytest.raises(TypeError):
+        hash(stream)
+    values[0] = 6  # the stream keeps the caller's arrays, which stay the caller's to write
+    assert stream.runs() == [(6, 2)]
 
 
 def test_decode_tolerates_non_canonical_runs():
