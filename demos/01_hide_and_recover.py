@@ -17,7 +17,7 @@ from stegrle import (
     validate_carrier,
 )
 
-# A stand-in for a real scan: black background, one bright blob.
+# A stand-in for a real scan: black background, one bright disk.
 carrier = synthetic_carrier(256, 256)
 print(f"carrier: {carrier.shape[1]}x{carrier.shape[0]}, "
       f"{int((carrier != 0).sum())} nonzero pixels")

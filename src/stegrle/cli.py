@@ -80,15 +80,7 @@ def _fmt_metric(value: float) -> str:
 
 
 def cmd_gen_carrier(args: argparse.Namespace) -> int:
-    img = synthetic_carrier(
-        args.width,
-        args.height,
-        blob_cx=args.blob_cx,
-        blob_cy=args.blob_cy,
-        blob_radius=args.blob_radius,
-        blob_value=args.blob_value,
-    )
-    save_pgm(args.out, img)
+    save_pgm(args.out, synthetic_carrier(args.width, args.height))
     print(f"wrote {args.out} ({args.width}x{args.height})")
     return 0
 
@@ -220,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--width", type=_positive_int, default=256)
     p.add_argument("--height", type=_positive_int, default=256)
-    p.add_argument("--blob-cx", type=_decimal, default=None, help="blob centre column")
-    p.add_argument("--blob-cy", type=_decimal, default=None, help="blob centre row")
-    p.add_argument("--blob-radius", type=_decimal, default=None)
-    p.add_argument("--blob-value", type=_decimal, default=200)
     p.set_defaults(func=cmd_gen_carrier)
 
     p = sub.add_parser("embed", help="hide a message in a carrier image")

@@ -46,14 +46,14 @@ class RunLengthStream:
         lengths = np.asarray(self.lengths)
         if lengths.size and not np.issubdtype(lengths.dtype, np.integer):  # [] is float64
             raise LengthMismatch(f"run lengths must be integers, got dtype {lengths.dtype}")
-        lengths = lengths.astype(np.int64, copy=False)  # uint64 of 2**63 or more turns negative
         if lengths.size and (shortest := int(lengths.min())) < 1:
             raise LengthMismatch(f"run of length {shortest}; runs must be at least 1 long")
+        if lengths.size and (longest := int(lengths.max())) > pixels:
+            raise LengthMismatch(f"run of length {longest} is longer than the image")
         if (total := int(lengths.sum())) != pixels:
             raise LengthMismatch(f"run lengths sum to {total}, image needs {pixels} pixels")
         check_pixels(self.width, self.height)
-        if int(lengths.max()) > pixels:  # the int64 sum wrapped round to width * height
-            raise LengthMismatch(f"run of length {int(lengths.max())} is longer than the image")
+        lengths = lengths.astype(np.int64, copy=False)
         values = np.asarray(self.values)
         if lengths.ndim != 1 or values.shape != lengths.shape:
             raise LengthMismatch(f"values of shape {values.shape}, lengths of {lengths.shape}")
@@ -118,4 +118,5 @@ def deserialize(data: bytes) -> RunLengthStream:
     if len(data) > expected_size:
         raise TrailingGarbage(f"{len(data) - expected_size} byte(s) after last run")
     records = np.frombuffer(data, dtype=RUN_DTYPE, count=count, offset=HEADER.size)
-    return RunLengthStream(width, height, values=records["value"].copy(), lengths=records["length"])
+    values, lengths = records["value"].copy(), records["length"].astype(np.int64)
+    return RunLengthStream(width, height, values=values, lengths=lengths)

@@ -195,17 +195,11 @@ def test_validate_matches_brute_force_on_noise():
 
 
 def test_synthetic_carrier_is_clean_for_every_geometry():
-    # every third blob centre, from 4 px off-image on each side, phase shifted by radius
-    for width in range(1, 12):
-        for height in range(1, 12):
-            for radius in range(1, 8):
-                for cx in range(-4 + radius % 3, width + 5, 3):
-                    for cy in range(-4 + radius % 3, height + 5, 3):
-                        img = synthetic_carrier(
-                            width, height, blob_cx=cx, blob_cy=cy, blob_radius=radius
-                        )
-                        assert validate_carrier(img) == []
-                        assert extract(img)[0] == b""
+    for width in range(1, 61):
+        for height in range(1, 61):
+            img = synthetic_carrier(width, height)
+            assert validate_carrier(img) == []
+            assert extract(img)[0] == b""
 
 
 def test_synthetic_carrier_checks_the_pixel_budget_before_allocating(monkeypatch):
