@@ -8,10 +8,9 @@ from stegrle import PHASES, Rect, bytes_to_text, run_pipeline, synthetic_carrier
 carrier = synthetic_carrier(256, 256)
 message = text_to_bytes("GRI pid:007")
 
-# repeat=5 keeps the best time per phase, which filters out scheduler
-# noise; the pipeline also verifies every stage against its input and
-# raises if anything fails to round-trip.
-result = run_pipeline(carrier, Rect(1, 1, 60, 60), message, repeat=5)
+# Each phase is timed once; the pipeline also verifies every stage against
+# its input and raises if anything fails to round-trip.
+result = run_pipeline(carrier, Rect(1, 1, 60, 60), message)
 
 print(f"{'phase':<16}{'seconds':>10}")
 for phase in PHASES:

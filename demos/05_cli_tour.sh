@@ -27,9 +27,9 @@ stegrle extract --in "$work/stego2.pgm" --out "$work/restored.pgm" \
 echo; echo "# 6. quality numbers on their own"
 stegrle metrics "$work/carrier.pgm" "$work/stego.pgm"
 
-echo; echo "# 7. everything in one go, with timing (best of 3 runs)"
+echo; echo "# 7. everything in one go, with timing"
 stegrle pipeline --in "$work/carrier.pgm" --roi 1,1,60,60 \
-    --message "GRI pid:007" --repeat 3 --csv "$work/report.csv"
+    --message "GRI pid:007" --csv "$work/report.csv"
 
 echo; echo "# csv report:"
 cat "$work/report.csv"

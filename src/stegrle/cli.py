@@ -23,7 +23,7 @@ from .carrier import synthetic_carrier
 from .errors import EmptyMessage, NonLatinCharacter, StegRleError
 from .image import Rect, load_pgm, save_pgm, write_file, write_pgm
 from .metrics import compare
-from .pipeline import PHASES, run_pipeline
+from .pipeline import run_pipeline
 from .rle import deserialize, rle_decode, rle_encode, serialize
 from .stego import bytes_to_text, embed, extract, text_to_bytes
 
@@ -139,40 +139,31 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_pipeline_report(result) -> None:
+def _print_pipeline_report(timing: list, quality: list) -> None:
     print(f"{'phase':<16}{'seconds':>10}")
-    for phase in PHASES:
-        print(f"{phase:<16}{result.timing.phases[phase]:>10.4f}")
-    print(f"{'total':<16}{result.timing.total:>10.4f}")
+    for label, seconds in timing:
+        print(f"{label:<16}{seconds:>10.4f}")
     print()
     print(f"{'comparison':<22}{'mse':>10}{'psnr':>10}")
-    for label, quality in (
-        ("carrier vs stego", result.stego_quality),
-        ("carrier vs restored", result.restored_quality),
-    ):
-        print(f"{label:<22}{_fmt_metric(quality.mse):>10}{_fmt_metric(quality.psnr):>10}")
+    for label, q in quality:
+        print(f"{label:<22}{_fmt_metric(q.mse):>10}{_fmt_metric(q.psnr):>10}")
 
 
-def _write_pipeline_csv(path: str, result) -> None:
+def _write_pipeline_csv(path: str, timing: list, quality: list) -> None:
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(["section", "label", "seconds", "mse", "psnr"])
-    for phase in PHASES:
-        writer.writerow(["timing", phase, f"{result.timing.phases[phase]:.6f}", "", ""])
-    writer.writerow(["timing", "total", f"{result.timing.total:.6f}", "", ""])
-    for label, quality in (
-        ("carrier vs stego", result.stego_quality),
-        ("carrier vs restored", result.restored_quality),
-    ):
-        psnr = _fmt_float(quality.psnr, ".6f")
-        writer.writerow(["quality", label, "", f"{quality.mse:.6f}", psnr])
+    writer.writerows(["timing", label, f"{seconds:.6f}", "", ""] for label, seconds in timing)
+    writer.writerows(
+        ["quality", label, "", f"{q.mse:.6f}", _fmt_float(q.psnr, ".6f")] for label, q in quality
+    )
     write_file(path, text.getvalue().encode("ascii"))
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     message = _message_from_args(args)
     carrier = load_pgm(args.infile)
-    result = run_pipeline(carrier, args.roi, message, repeat=args.repeat)
+    result = run_pipeline(carrier, args.roi, message)
     if args.stego_out:
         save_pgm(args.stego_out, result.stego)
     if args.container_out:
@@ -182,9 +173,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     print(f"bytes hidden: {result.embed_report.bytes_hidden}")
     print("round-trip: verified lossless")
     print()
-    _print_pipeline_report(result)
+    timing = [*result.timing.phases.items(), ("total", result.timing.total)]
+    quality = [
+        ("carrier vs stego", result.stego_quality),
+        ("carrier vs restored", result.restored_quality),
+    ]
+    _print_pipeline_report(timing, quality)
     if args.csv:
-        _write_pipeline_csv(args.csv, result)
+        _write_pipeline_csv(args.csv, timing, quality)
         print(f"\ncsv written: {args.csv}")
     return 0
 
@@ -246,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="carrier PGM")
     p.add_argument("--roi", type=_roi_arg, required=True, help="x0,y0,x1,y1 inclusive")
     _add_message_options(p)
-    p.add_argument("--repeat", type=_positive_int, default=1, help="best-of-N timing")
     p.add_argument("--csv", help="also write the report as CSV")
     p.add_argument("--stego-out", help="save the stego image")
     p.add_argument("--container-out", help="save the SRLE container")
@@ -272,6 +267,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # like stderr, print what the terminal cannot encode as escapes (caf\xe9) rather than fail
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

@@ -4,9 +4,7 @@ Order: hide the message, run-length-compress the stego image into a
 container, decompress it, recover message and carrier. The run verifies
 itself: the decompressed image must equal the stego image bit for bit, the
 recovered message must equal the input, and the restored image must equal
-the carrier. Timing uses a monotonic clock and keeps the best (smallest)
-time per phase over ``repeat`` runs, so the numbers reflect the code
-rather than scheduler noise.
+the carrier. Each phase is timed once, with a monotonic clock.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ PHASES = ("data-hiding", "rle-encode", "rle-decode", "data-retrieval")
 
 @dataclass
 class TimingReport:
-    """Best-of-N seconds for each phase; total is their sum."""
+    """Seconds for each phase of one pass, in PHASES order; total is their sum."""
 
     phases: dict[str, float]
 
@@ -48,35 +46,26 @@ class PipelineResult:
     restored_quality: QualityReport
 
 
-def _timed(best: dict[str, float], phase: str, fn):
-    """Run one phase, keeping its best time; name the phase on failure."""
+def _timed(seconds: dict[str, float], phase: str, fn):
+    """Run one phase and record its time; name the phase on failure."""
     start = time.perf_counter()
     try:
         result = fn()
     except StegRleError as exc:
         exc.args = (f"{phase} phase failed: {exc}",)
         raise
-    best[phase] = min(best[phase], time.perf_counter() - start)
+    seconds[phase] = time.perf_counter() - start
     return result
 
 
-def run_pipeline(
-    carrier: np.ndarray, roi: Rect, message: bytes, repeat: int = 1
-) -> PipelineResult:
+def run_pipeline(carrier: np.ndarray, roi: Rect, message: bytes) -> PipelineResult:
     """Embed, compress, decompress, extract; verify losslessness; time phases."""
-    if repeat < 1:
-        raise ValueError(f"repeat must be at least 1, got {repeat}")
     message = bytes(message)
-    best = dict.fromkeys(PHASES, float("inf"))
-    for _ in range(repeat):
-        stego, report = _timed(best, "data-hiding", lambda: embed(carrier, roi, message))
-        container = _timed(best, "rle-encode", lambda: serialize(rle_encode(stego)))
-        decompressed = _timed(
-            best, "rle-decode", lambda: rle_decode(deserialize(container))
-        )
-        message_out, restored = _timed(
-            best, "data-retrieval", lambda: extract(decompressed)
-        )
+    seconds: dict[str, float] = {}
+    stego, report = _timed(seconds, "data-hiding", lambda: embed(carrier, roi, message))
+    container = _timed(seconds, "rle-encode", lambda: serialize(rle_encode(stego)))
+    decompressed = _timed(seconds, "rle-decode", lambda: rle_decode(deserialize(container)))
+    message_out, restored = _timed(seconds, "data-retrieval", lambda: extract(decompressed))
 
     if not np.array_equal(decompressed, stego):
         raise VerificationFailed("decompressed image differs from stego image")
@@ -91,7 +80,7 @@ def run_pipeline(
         restored=restored,
         message_out=message_out,
         embed_report=report,
-        timing=TimingReport(phases=best),
+        timing=TimingReport(phases=seconds),
         stego_quality=compare(carrier, stego),
         restored_quality=compare(carrier, restored),
     )

@@ -37,12 +37,13 @@ class RunLengthStream:
     height: int
     values: np.ndarray = field(repr=False)
     lengths: np.ndarray = field(repr=False)
+    _repeats: np.ndarray = field(init=False, repr=False)  # lengths before the read-only view
 
     def __post_init__(self) -> None:
         """Apply rules 6 and 7 of docs/srle-format.md, equal vector sizes and 0..255 values."""
-        pixels = self.width * self.height
-        if self.width < 1 or self.height < 1:
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
             raise LengthMismatch(f"invalid dimensions {self.width}x{self.height}")
+        pixels = self.width * self.height
         lengths = np.asarray(self.lengths)
         if lengths.size and not np.issubdtype(lengths.dtype, np.integer):  # [] is float64
             raise LengthMismatch(f"run lengths must be integers, got dtype {lengths.dtype}")
@@ -61,6 +62,7 @@ class RunLengthStream:
             view = array.view()  # read-only without freezing the caller's own array
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        object.__setattr__(self, "_repeats", lengths)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunLengthStream):
@@ -90,7 +92,8 @@ def rle_encode(img: np.ndarray) -> RunLengthStream:
 
 def rle_decode(stream: RunLengthStream) -> np.ndarray:
     """Expand a run-length stream back into the original image."""
-    return np.repeat(stream.values, stream.lengths).reshape(stream.height, stream.width)
+    # np.repeat copies a read-only repeats array, such as the public lengths view
+    return np.repeat(stream.values, stream._repeats).reshape(stream.height, stream.width)
 
 
 def serialize(stream: RunLengthStream) -> bytes:

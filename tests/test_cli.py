@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,8 @@ from stegrle.errors import StegRleError
 from stegrle.image import Rect, load_pgm, save_pgm, write_pgm
 from stegrle.rle import rle_encode, serialize
 from stegrle.stego import embedding_sites
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -125,6 +129,26 @@ def test_extract_of_plain_zero_image(tmp_path, capsys, zero_pgm):
     assert "message: \n" in out
 
 
+def test_output_the_terminal_cannot_encode_prints_as_escapes(tmp_path, capsys, carrier_pgm):
+    stego = tmp_path / "s.pgm"
+    assert run(
+        capsys, "embed", "--in", carrier_pgm, "--out", stego,
+        "--roi", "1,1,60,60", "--message", "café",
+    )[0] == 0
+    env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": str(SRC)}
+    for argv, printed, written in (
+        (["extract", "--in", stego, "--out", tmp_path / "r.pgm"], "message: caf\\xe9", "r.pgm"),
+        (["gen-carrier", "--out", tmp_path / "café.pgm"], "caf\\xe9.pgm (256x256)", "café.pgm"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "stegrle.cli", *map(str, argv)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith(printed + "\n")
+        assert (tmp_path / written).exists()
+
+
 # --- compress / decompress ---
 
 def test_compress_zero_image_reports_ratio(tmp_path, capsys, zero_pgm):
@@ -184,7 +208,7 @@ def test_pipeline_reports_and_outputs(tmp_path, capsys, carrier_pgm):
     restored = tmp_path / "restored.pgm"
     code, out, _ = run(
         capsys, "pipeline", "--in", carrier_pgm, "--roi", "1,1,60,60",
-        "--message", "GRI pid:007", "--repeat", 2, "--csv", csv_path,
+        "--message", "GRI pid:007", "--csv", csv_path,
         "--stego-out", stego, "--container-out", tmp_path / "c.srle",
         "--restored-out", restored,
     )

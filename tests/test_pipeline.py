@@ -37,19 +37,6 @@ def test_pipeline_timing_shape():
     )
 
 
-def test_pipeline_repeat_keeps_best_times():
-    once = run_pipeline(synthetic_carrier(), ROI, MESSAGE, repeat=1)
-    multi = run_pipeline(synthetic_carrier(), ROI, MESSAGE, repeat=3)
-    assert tuple(multi.timing.phases) == PHASES
-    assert multi.timing.total > 0
-    assert once.message_out == multi.message_out
-
-
-def test_pipeline_rejects_bad_repeat():
-    with pytest.raises(ValueError):
-        run_pipeline(synthetic_carrier(), ROI, MESSAGE, repeat=0)
-
-
 def test_pipeline_names_failing_phase():
     noisy = synthetic_carrier()
     noisy[2, 200] = 99  # isolated pixel, carrier no longer safe

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,16 +88,17 @@ def test_decode_constant_run():
 
 
 def test_decode_length_mismatch():
-    # a short sum, a negative or zero-length run or a zero side is refused when the stream is
-    # built, as deserialize refuses it; so are unequal vectors, which serialize would broadcast
-    # into a container of [[5, 5, 6, 6]], and lengths the u32 field would wrap to 1, or whose
-    # int64 sum would wrap round to width * height
+    # a short sum, a negative or zero-length run or a zero or non-integer side is refused when
+    # the stream is built, as deserialize refuses it; so are unequal vectors, which serialize
+    # would broadcast into a container of [[5, 5, 6, 6]], and lengths the u32 field would wrap
+    # to 1, or whose int64 sum would wrap round to width * height
     for width, height, values, lengths in (
         (2, 2, [5], [3]),
         (2, 2, [5, 6], [5, -1]),
         (2, 2, [5, 6], [4, 0]),
         (0, 4, [], []),
         (4, 0, [], []),
+        (2.0, 1, [5], [2]),
         (4, 1, [5, 6], [2]),
         (2, 1, [5, 6], [2]),
         (1, 1, [5], [2**32 + 1]),
@@ -155,6 +157,26 @@ def test_stream_cannot_change_after_it_is_checked(change, error):
 
 def test_decode_tolerates_non_canonical_runs():
     assert rle_decode(stream_of(4, 1, [(5, 2), (5, 2)])).tolist() == [[5, 5, 5, 5]]
+
+
+def test_decode_does_not_copy_the_run_lengths():
+    # np.repeat copies a read-only repeats array: 8 MB of int64 lengths for these 999,001 runs
+    img = (np.indices((1000, 1000)).sum(axis=0) % 2).astype(np.uint8)
+    stream = rle_encode(img)
+    for built in (stream, deserialize(serialize(stream))):
+        tracemalloc.start()
+        try:
+            decoded = rle_decode(built)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decoded, img)
+        assert peak < built.lengths.nbytes / 2
+        assert not built.lengths.flags.writeable
+    # a stream of the caller's read-only arrays still decodes
+    values = np.frombuffer(b"\x05", np.uint8)
+    lengths = np.frombuffer(np.int64(2).tobytes(), np.int64)
+    assert rle_decode(RunLengthStream(2, 1, values, lengths)).tolist() == [[5, 5]]
 
 
 @st.composite
