@@ -64,8 +64,8 @@ def _message_from_args(args: argparse.Namespace) -> bytes:
     else:
         text = args.message
     message = text_to_bytes(text)
-    if not message and not args.allow_empty:
-        raise EmptyMessage("message is empty; pass --allow-empty to permit this")
+    if not message:
+        raise EmptyMessage("message is empty")
     return message
 
 
@@ -122,11 +122,11 @@ def cmd_decompress(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     stego = load_pgm(args.infile)
     message, restored = extract(stego)
+    # a bad --verify file is refused before anything is written or printed
+    quality = None if args.verify is None else compare(load_pgm(args.verify), restored)
     save_pgm(args.out, restored)
     print(f"message: {bytes_to_text(message)}")
-    if args.verify is not None:
-        original = load_pgm(args.verify)
-        quality = compare(original, restored)
+    if quality is not None:
         print(f"verify mse: {_fmt_metric(quality.mse)}")
         print(f"verify psnr: {_fmt_metric(quality.psnr)}")
     return 0
@@ -164,12 +164,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     message = _message_from_args(args)
     carrier = load_pgm(args.infile)
     result = run_pipeline(carrier, args.roi, message)
-    if args.stego_out:
-        save_pgm(args.stego_out, result.stego)
-    if args.container_out:
-        write_file(args.container_out, result.container)
-    if args.restored_out:
-        save_pgm(args.restored_out, result.restored)
     print(f"bytes hidden: {result.embed_report.bytes_hidden}")
     print("round-trip: verified lossless")
     print()
@@ -189,11 +183,6 @@ def _add_message_options(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--message", help="message text (code points 1..255)")
     group.add_argument("--message-file", help="UTF-8 text file with the message")
-    sub.add_argument(
-        "--allow-empty",
-        action="store_true",
-        help="permit an empty message (stego equals carrier)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roi", type=_roi_arg, required=True, help="x0,y0,x1,y1 inclusive")
     _add_message_options(p)
     p.add_argument("--csv", help="also write the report as CSV")
-    p.add_argument("--stego-out", help="save the stego image")
-    p.add_argument("--container-out", help="save the SRLE container")
-    p.add_argument("--restored-out", help="save the restored image")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -96,7 +96,7 @@ def check_rect(img: np.ndarray, roi: Rect) -> None:
 
 def check_pixels(width: int, height: int) -> int:
     """Return width*height; a PGM or SRLE header may declare at most MAX_PIXELS pixels."""
-    if (pixels := width * height) > MAX_PIXELS:
+    if (pixels := int(width) * int(height)) > MAX_PIXELS:  # numpy ints would wrap
         raise PixelBudgetExceeded(f"{width}x{height} image has {pixels} pixels, over {MAX_PIXELS}")
     return pixels
 

@@ -42,8 +42,8 @@ class RunLengthStream:
     def __post_init__(self) -> None:
         """Apply rules 6 and 7 of docs/srle-format.md, equal vector sizes and 0..255 values."""
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
-            raise LengthMismatch(f"invalid dimensions {self.width}x{self.height}")
-        pixels = self.width * self.height
+            raise LengthMismatch(f"invalid dimensions {self.width!r}x{self.height!r}")
+        pixels = int(self.width) * int(self.height)  # numpy ints would wrap
         lengths = np.asarray(self.lengths)
         if lengths.size and not np.issubdtype(lengths.dtype, np.integer):  # [] is float64
             raise LengthMismatch(f"run lengths must be integers, got dtype {lengths.dtype}")

@@ -1,19 +1,25 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import pack_container
 from stegrle import carrier
+from stegrle.carrier import synthetic_carrier
 from stegrle.cli import IO_ERROR_EXIT, main
 from stegrle.errors import StegRleError
-from stegrle.image import Rect, load_pgm, save_pgm, write_pgm
-from stegrle.rle import rle_encode, serialize
-from stegrle.stego import embedding_sites
+from stegrle.image import Rect, load_pgm, read_pgm, save_pgm, write_pgm
+from stegrle.rle import deserialize, rle_decode, rle_encode, serialize
+from stegrle.stego import embed, embedding_sites, extract
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -97,17 +103,6 @@ def test_embed_prints_the_first_sixteen_sites(tmp_path, capsys, carrier_pgm):
     sites = embedding_sites(load_pgm(carrier_pgm), Rect(1, 1, 60, 60))
     shown = " ".join(f"{x},{y}" for x, y in sites[:16])
     assert f"\nsites: {shown} ... (4 more)\n" in out
-
-
-def test_embed_allow_empty_is_identity(tmp_path, capsys, carrier_pgm):
-    stego = tmp_path / "stego.pgm"
-    code, out, _ = run(
-        capsys, "embed", "--in", carrier_pgm, "--out", stego,
-        "--roi", "1,1,60,60", "--message", "", "--allow-empty",
-    )
-    assert code == 0
-    assert "bytes hidden: 0" in out
-    assert stego.read_bytes() == carrier_pgm.read_bytes()
 
 
 def test_embed_message_file(tmp_path, capsys, carrier_pgm):
@@ -204,13 +199,9 @@ def test_metrics_golden_pair(tmp_path, capsys, zero_pgm):
 
 def test_pipeline_reports_and_outputs(tmp_path, capsys, carrier_pgm):
     csv_path = tmp_path / "report.csv"
-    stego = tmp_path / "stego.pgm"
-    restored = tmp_path / "restored.pgm"
     code, out, _ = run(
         capsys, "pipeline", "--in", carrier_pgm, "--roi", "1,1,60,60",
         "--message", "GRI pid:007", "--csv", csv_path,
-        "--stego-out", stego, "--container-out", tmp_path / "c.srle",
-        "--restored-out", restored,
     )
     assert code == 0
     assert "round-trip: verified lossless" in out
@@ -219,12 +210,11 @@ def test_pipeline_reports_and_outputs(tmp_path, capsys, carrier_pgm):
     assert "0.9565" in out
     assert "48.3240" in out
     assert "Infinity" in out
-    assert restored.read_bytes() == carrier_pgm.read_bytes()
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "section,label,seconds,mse,psnr"
     assert len(lines) == 1 + 5 + 2
     assert csv_path.read_bytes().count(b"\r\n") == len(lines)  # csv's own line ends
-    written = {"carrier.pgm", "report.csv", "stego.pgm", "c.srle", "restored.pgm"}
+    written = {"carrier.pgm", "report.csv"}
     assert set(os.listdir(tmp_path)) == written  # no temporary file is left behind
 
 
@@ -280,10 +270,7 @@ def test_pipeline_report_layout_is_pinned(tmp_path, capsys, carrier_pgm):
         ["compress", "--in", "{carrier}", "--out", "{out}"],
         ["decompress", "--in", "{container}", "--out", "{out}"],
         ["extract", "--in", "{carrier}", "--out", "{out}"],
-        *(
-            ["pipeline", "--in", "{carrier}", "--roi", "1,1,9,9", "--message", "hi", flag, "{out}"]
-            for flag in ("--csv", "--stego-out", "--container-out", "--restored-out")
-        ),
+        ["pipeline", "--in", "{carrier}", "--roi", "1,1,9,9", "--message", "hi", "--csv", "{out}"],
     ],
 )
 def test_failed_write_leaves_the_old_output_and_no_temporary_file(
@@ -320,6 +307,7 @@ def test_pipeline_capacity_error_names_phase(tmp_path, capsys, carrier_pgm):
 
 ZERO_IMAGE = np.zeros((256, 256), dtype=np.uint8)
 ZERO_CONTAINER = serialize(rle_encode(ZERO_IMAGE))
+SMALL_PGM = write_pgm(np.zeros((4, 4), dtype=np.uint8))
 LONE_PIXEL = np.zeros((16, 16), dtype=np.uint8)
 LONE_PIXEL[8, 8] = 77  # an isolated nonzero pixel, which extract would read as a byte
 EMBED = ("embed", "--in", "{carrier}", "--out", "{out}")
@@ -332,7 +320,7 @@ def refusal(name, code, token, fragment, *argv, **files):
 
 REFUSALS = [
     refusal(
-        "embed-empty-message", 24, "EmptyMessage", "pass --allow-empty to permit this",
+        "embed-empty-message", 24, "EmptyMessage", "message is empty",
         *EMBED, "--roi", "1,1,60,60", "--message", "",
     ),
     refusal(
@@ -420,9 +408,19 @@ REFUSALS = [
         "extract", "--in", "a\x00b.pgm", "--out", "{out}",
     ),
     refusal(
+        "extract-verify-not-a-pgm", 10, "MalformedHeader", "not a PGM file",
+        "extract", "--in", "{carrier}", "--out", "{out}", "--verify", "{bad}",
+        bad=b"P9\n1 1\n255\n\x00",
+    ),
+    refusal(
+        "extract-verify-other-size", 23, "DimensionMismatch", "image shapes differ",
+        "extract", "--in", "{carrier}", "--out", "{out}", "--verify", "{small}",
+        small=SMALL_PGM,
+    ),
+    refusal(
         "metrics-dimension-mismatch", 23, "DimensionMismatch", "image shapes differ",
         "metrics", "{zero}", "{small}",
-        zero=write_pgm(ZERO_IMAGE), small=write_pgm(np.zeros((4, 4), dtype=np.uint8)),
+        zero=write_pgm(ZERO_IMAGE), small=SMALL_PGM,
     ),
 ]
 
@@ -471,6 +469,22 @@ def all_errors(cls=StegRleError):
         yield from all_errors(sub)
 
 
+def help_text(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    return out.getvalue()
+
+
+def test_readme_command_line_section_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n### ", 1)[0]
+    commands = re.search(r"\{([\w,-]+)\}", help_text())[1].split(",")
+    assert set(re.findall(r"stegrle ([\w-]+)", section)) == set(commands)
+    listed = {option for c in commands for option in re.findall(r"--[\w-]+", help_text(c))}
+    assert set(re.findall(r"--[\w-]+", section)) == listed - {"--help"}
+
+
 def test_readme_exit_code_table_names_every_error():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
@@ -481,3 +495,133 @@ def test_readme_exit_code_table_names_every_error():
     with pytest.raises(SystemExit) as exit_info:
         main(["compress"])  # a required option is missing
     assert exit_info.value.code == 2
+
+
+# --- the whole contract, as one property ---
+
+CONTRACT_CARRIER = synthetic_carrier(12, 10)
+CONTRACT_STEGO = embed(CONTRACT_CARRIER, Rect(1, 1, 10, 8), b"hi")[0]
+CARRIER_INPUTS = [
+    write_pgm(CONTRACT_CARRIER),
+    b"P2 12 10 255\n" + b" ".join(b"%d" % v for v in CONTRACT_CARRIER.ravel()),
+]
+PGM_INPUTS = [*CARRIER_INPUTS, write_pgm(CONTRACT_STEGO)]
+SRLE_INPUTS = [serialize(rle_encode(CONTRACT_CARRIER)), serialize(rle_encode(CONTRACT_STEGO))]
+EXIT_CODES = {error.__name__: error.exit_code for error in all_errors()}
+EXIT_CODES.update(IOError=IO_ERROR_EXIT, ValueError=2)
+# fragments a ValueError message may hold; any other one, such as a raw numpy
+# shape or dtype error, would pass for a usage error and fails the property
+VALUE_ERRORS_ALLOWED: list[str] = []
+
+
+@st.composite
+def cli_inputs(draw, kind=PGM_INPUTS):
+    """Mostly a file of the kind the command reads, else any; half the time mutated by byte
+    flips, a truncation or a splice."""
+    data = draw(st.sampled_from(kind if draw(st.integers(0, 3)) else PGM_INPUTS + SRLE_INPUTS))
+    if draw(st.booleans()):
+        return data
+    mutation = draw(st.sampled_from(["flips", "truncation", "splice"]))
+    if mutation == "flips":
+        data = bytearray(data)
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.sampled_from(range(len(data))))] ^= draw(st.integers(1, 255))
+    elif mutation == "truncation":
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    else:
+        other = draw(st.sampled_from(PGM_INPUTS + SRLE_INPUTS))
+        data = data[: draw(st.integers(0, len(data)))] + other[draw(st.integers(0, len(other))) :]
+    return bytes(data)
+
+
+def corner_pairs(last):
+    """Two ROI corners: in order inside 0..last, or anywhere from -1 to last + 1."""
+    inside = st.tuples(st.integers(0, last), st.integers(0, last)).map(sorted)
+    return inside | st.tuples(st.integers(-1, last + 1), st.integers(-1, last + 1))
+
+
+rois = st.tuples(corner_pairs(11), corner_pairs(9)).map(
+    lambda xy: "--roi=%d,%d,%d,%d" % (xy[0][0], xy[1][0], xy[0][1], xy[1][1])
+)
+# short and valid, or empty, with a NUL, outside Latin-1, or too long for the 12x10 inputs
+messages = st.text("aZ \xe9", min_size=1, max_size=4) | st.sampled_from(
+    ["", "a\x00b", "\u20ac", "x" * 100]
+)
+
+
+@st.composite
+def message_options(draw):
+    """The message as --message=TEXT, or as a file whose bytes may not be UTF-8; and its files."""
+    text = draw(messages)
+    if draw(st.booleans()):
+        return ["--message=" + text], {}, text
+    tail = draw(st.sampled_from([b"", b"", b"\xe9"]))
+    return ["--message-file", "{msg}"], {"msg": text.encode() + tail}, text
+
+
+@st.composite
+def cli_commands(draw):
+    """argv with {placeholders}, the input files it names, and its message text, if any."""
+    command = draw(
+        st.sampled_from(["embed", "compress", "decompress", "extract", "metrics", "pipeline"])
+    )
+    kind = {"embed": CARRIER_INPUTS, "pipeline": CARRIER_INPUTS, "decompress": SRLE_INPUTS}
+    files = {"a": draw(cli_inputs(kind.get(command, PGM_INPUTS)))}
+    text = None
+    if command in ("embed", "pipeline"):
+        options, message_files, text = draw(message_options())
+        files.update(message_files)
+        out = [["--out", "{out}"]] if command == "embed" else [[], ["--csv", "{out}"]]
+        argv = [command, "--in", "{a}", draw(rois), *options, *draw(st.sampled_from(out))]
+    elif command == "metrics":
+        files["b"] = draw(cli_inputs())
+        argv = ["metrics", "{a}", "{b}"]
+    else:
+        argv = [command, "--in", "{a}", "--out", "{out}"]
+        if command == "extract" and draw(st.booleans()):
+            files["b"] = draw(cli_inputs())
+            argv += ["--verify", "{b}"]
+    return argv, files, text
+
+
+def read_back(command, files, text, output):
+    """Check the file a successful command wrote against the library's own reading of it."""
+    if command == "embed":
+        assert extract(read_pgm(output))[0] == text.encode("latin-1")
+    elif command == "compress":
+        assert np.array_equal(rle_decode(deserialize(output)), read_pgm(files["a"]))
+    elif command == "decompress":
+        assert np.array_equal(read_pgm(output), rle_decode(deserialize(files["a"])))
+    elif command == "extract":
+        assert np.array_equal(read_pgm(output), extract(read_pgm(files["a"]))[1])
+    else:  # the pipeline CSV: a header, five timing rows and two quality rows
+        assert output.decode("ascii").count("\r\n") == 1 + 5 + 2
+
+
+def listing(directory):
+    return {name: (Path(directory) / name).read_bytes() for name in os.listdir(directory)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_commands())
+def test_every_command_succeeds_with_readable_output_or_fails_with_one_line(case):
+    argv, files, text = case
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {name: os.path.join(directory, name) for name in (*files, "out")}
+        for name, data in files.items():
+            Path(paths[name]).write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(**paths) for arg in argv])
+        after = listing(directory)
+    if code == 0:
+        assert err.getvalue() == ""
+        if "{out}" in argv:
+            read_back(argv[0], files, text, after.pop("out"))
+    else:
+        assert out.getvalue() == ""
+        error = re.fullmatch(r"error: (\w+): [^\n]*\n", err.getvalue())
+        assert error and EXIT_CODES.get(error[1]) == code, err.getvalue()
+        if error[1] == "ValueError":
+            assert any(fragment in err.getvalue() for fragment in VALUE_ERRORS_ALLOWED)
+    assert after == files  # inputs are never changed, and a failed run writes nothing

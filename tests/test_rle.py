@@ -99,6 +99,8 @@ def test_decode_length_mismatch():
         (0, 4, [], []),
         (4, 0, [], []),
         (2.0, 1, [5], [2]),
+        # a uint8 product would wrap 16 * 16 to 0, the sum of no runs
+        (np.uint8(16), np.uint8(16), np.array([], np.uint8), np.array([], np.int64)),
         (4, 1, [5, 6], [2]),
         (2, 1, [5, 6], [2]),
         (1, 1, [5], [2**32 + 1]),
@@ -123,6 +125,16 @@ def test_values_outside_a_byte_are_refused_not_wrapped(value, error):
     # a container's value field is one byte; 300 used to come back as 44 and -1 as 255
     with pytest.raises(ValueError, match=f"pixel values {error}"):
         RunLengthStream(2, 1, values=np.array([value]), lengths=np.array([2]))
+
+
+def test_numpy_dimensions_are_multiplied_as_python_ints():
+    # an int16 product would wrap 200 * 200 to -25536 and refuse a valid stream
+    side = np.int16(200)
+    stream = RunLengthStream(side, side, values=[7], lengths=[200 * 200])
+    assert np.array_equal(rle_decode(stream), np.full((200, 200), 7, dtype=np.uint8))
+    # a str width is named as one, not printed as a valid-looking 2
+    with pytest.raises(LengthMismatch, match="invalid dimensions '2'x1"):
+        RunLengthStream("2", 1, [5], [2])
 
 
 def test_empty_stream_is_refused():

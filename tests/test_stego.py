@@ -206,6 +206,8 @@ def test_synthetic_carrier_checks_the_pixel_budget_before_allocating(monkeypatch
     monkeypatch.setattr(carrier, "np", None)  # any numpy call would raise AttributeError
     with pytest.raises(PixelBudgetExceeded):
         synthetic_carrier(2**14 + 1, 2**14)
+    with pytest.raises(PixelBudgetExceeded):  # an int32 product would wrap to -131071
+        synthetic_carrier(np.int32(65535), np.int32(65535))
     with pytest.raises(AttributeError):  # the full budget passes the check
         synthetic_carrier(2**14, 2**14)
 
