@@ -22,4 +22,5 @@ print("container size:", len(result.container), "bytes")
 print("recovered text:", bytes_to_text(result.message_out))
 print(f"stego distortion: mse={result.stego_quality.mse:.4f} "
       f"psnr={result.stego_quality.psnr:.4f} dB")
-print(f"after recovery:   mse={result.restored_quality.mse:.0f} psnr=Infinity")
+print(f"after recovery:   mse={result.restored_quality.mse:.0f} "
+      f"psnr={result.restored_quality.psnr:.4f} dB")

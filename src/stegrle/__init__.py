@@ -9,10 +9,9 @@ from .image import (
     load_pgm,
     read_pgm,
     save_pgm,
-    to_grayscale,
     write_pgm,
 )
-from .metrics import QualityReport, compare, mse, psnr
+from .metrics import QualityReport, compare
 from .pipeline import PHASES, PipelineResult, TimingReport, run_pipeline
 from .rle import RunLengthStream, deserialize, rle_decode, rle_encode, serialize
 from .stego import (
@@ -46,8 +45,6 @@ __all__ = [
     "errors",
     "extract",
     "load_pgm",
-    "mse",
-    "psnr",
     "read_pgm",
     "rle_decode",
     "rle_encode",
@@ -57,7 +54,6 @@ __all__ = [
     "serialize",
     "synthetic_carrier",
     "text_to_bytes",
-    "to_grayscale",
     "validate_carrier",
     "write_pgm",
 ]

@@ -63,7 +63,7 @@ class NulCharacter(StegRleError):
 
 
 class EmptyMessage(StegRleError):
-    """Empty message given without the flag that explicitly allows it."""
+    """Empty message given to the CLI, which always refuses one."""
 
     exit_code = 24
 

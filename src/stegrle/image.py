@@ -1,8 +1,7 @@
 """8-bit grayscale images, ROI rectangles, and PGM file I/O.
 
 An image is a numpy ``uint8`` array of shape ``(height, width)``, row-major,
-so ``img[y, x]`` addresses column ``x`` of row ``y``. RGB input is a
-``(height, width, 3)`` array.
+so ``img[y, x]`` addresses column ``x`` of row ``y``.
 
 The PGM writer always emits the same canonical byte stream for a given
 image: the exact header ``P5\\n<width> <height>\\n255\\n`` followed by the
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import MalformedHeader, PixelBudgetExceeded, RectOutOfBounds, TruncatedData
 from .errors import UnsupportedMaxval
 
-# ITU-R BT.601 luma weights for R, G, B
-GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 MAX_PIXELS = 2**28  # 256 MiB of uint8, as Pillow's MAX_IMAGE_PIXELS
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -70,15 +67,6 @@ def check_values(values) -> np.ndarray:
         if values.min() < 0 or values.max() > 255:
             raise ValueError("pixel values must lie in 0..255")
     return values.astype(np.uint8, copy=False)
-
-
-def to_grayscale(rgb) -> np.ndarray:
-    """Convert an (h, w, 3) RGB image to grayscale, rounding half up."""
-    rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ValueError(f"RGB image must have shape (h, w, 3), got {rgb.shape}")
-    luma = rgb.astype(np.float64) @ np.asarray(GRAY_WEIGHTS)
-    return np.clip(np.floor(luma + 0.5), 0, 255).astype(np.uint8)
 
 
 def check_rect(img: np.ndarray, roi: Rect) -> None:

@@ -21,30 +21,16 @@ class QualityReport:
     psnr: float
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def compare(a: np.ndarray, b: np.ndarray) -> QualityReport:
+    """MSE and PSNR of two same-shaped images.
+
+    The squared differences are summed exactly before one division; PSNR is
+    10*log10(255^2 / mse) in decibels, infinite for identical images.
+    """
     a, b = as_gray(a), as_gray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"image shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared pixel difference, accumulated exactly before one division."""
-    a, b = _pair(a, b)
     diff = np.subtract(a, b, dtype=np.int16)
-    return int(np.square(diff, dtype=np.int32).sum(dtype=np.int64)) / a.size
-
-
-def _psnr_of_mse(error: float) -> float:
-    return math.inf if error == 0 else 10.0 * math.log10(PEAK * PEAK / error)
-
-
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """10*log10(255^2 / mse) in decibels; infinite for identical images."""
-    return _psnr_of_mse(mse(a, b))
-
-
-def compare(a: np.ndarray, b: np.ndarray) -> QualityReport:
-    """Both metrics at once."""
-    error = mse(a, b)
-    return QualityReport(mse=error, psnr=_psnr_of_mse(error))
+    error = int(np.square(diff, dtype=np.int32).sum(dtype=np.int64)) / a.size
+    psnr = math.inf if error == 0 else 10.0 * math.log10(PEAK * PEAK / error)
+    return QualityReport(mse=error, psnr=psnr)

@@ -67,7 +67,7 @@ def _hidden(img: np.ndarray) -> np.ndarray:
 
 def _mask_sites(mask: np.ndarray, x0: int, y0: int) -> list[Site]:
     """Row-major (x, y) coordinates of the true cells of a mask whose top-left is (x0, y0)."""
-    ys, xs = np.nonzero(mask)
+    ys, xs = np.divmod(np.flatnonzero(mask), mask.shape[1])
     return list(zip((xs + x0).tolist(), (ys + y0).tolist()))
 
 
@@ -141,13 +141,10 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
     message = np.frombuffer(bytes(message), np.uint8)
     if 0 in message:
         raise NulCharacter("message bytes must be in 1..255")
-    hidden = _hidden(img)
-    ambiguous = int(np.count_nonzero(hidden))
-    if ambiguous:
-        y, x = divmod(int(hidden.argmax()), hidden.shape[1])  # the first in row-major order
+    if ambiguous := validate_carrier(img):
         raise AmbiguousCarrier(
-            f"carrier has {ambiguous} isolated nonzero pixel(s), "
-            f"first at {(x + 1, y + 1)}; extraction would misread them"
+            f"carrier has {len(ambiguous)} isolated nonzero pixel(s), "
+            f"first at {ambiguous[0]}; extraction would misread them"
         )
     claimed, x0, y0 = _claimed(img, roi)
     capacity = int(np.count_nonzero(claimed))

@@ -15,7 +15,7 @@ from oracles import brute_candidates, brute_extract, brute_rle, parse_container
 from stegrle.carrier import synthetic_carrier
 from stegrle.cli import main
 from stegrle.image import Rect, load_pgm, save_pgm
-from stegrle.metrics import mse, psnr
+from stegrle.metrics import compare
 from stegrle.pipeline import PHASES, run_pipeline
 from stegrle.rle import deserialize, rle_decode, rle_encode, serialize
 from stegrle.stego import (
@@ -88,9 +88,9 @@ def test_criterion_3_stego_distortion_reproduction():
         carrier = synthetic_carrier(256, 256)
         stego, report = embed(carrier, ROI, PATIENT_BYTES)
         assert report.bytes_hidden == 11
-        assert mse(carrier, stego) == squares / 65536
-        assert mse(carrier, stego) == pytest.approx(0.9565, abs=1e-4)
-        assert psnr(carrier, stego) == pytest.approx(48.3240, abs=1e-3)
+        assert compare(carrier, stego).mse == squares / 65536
+        assert compare(carrier, stego).mse == pytest.approx(0.9565, abs=1e-4)
+        assert compare(carrier, stego).psnr == pytest.approx(48.3240, abs=1e-3)
 
 
 def test_criterion_4_lossless_reproduction():
@@ -105,8 +105,8 @@ def test_criterion_4_lossless_reproduction():
             decompressed = rle_decode(deserialize(container))
             recovered, restored = extract(decompressed)
             assert recovered == message
-            assert mse(img, restored) == 0
-            assert math.isinf(psnr(img, restored))
+            assert compare(img, restored).mse == 0
+            assert math.isinf(compare(img, restored).psnr)
             assert np.array_equal(restored, img)
 
 

@@ -1,4 +1,3 @@
-import math
 import os
 import re
 
@@ -23,7 +22,6 @@ from stegrle.image import (
     as_gray,
     check_rect,
     read_pgm,
-    to_grayscale,
     write_file,
     write_pgm,
 )
@@ -328,52 +326,6 @@ def test_write_file_leaves_the_old_file_or_the_whole_new_one(tmp_path):
     opened = tmp_path / "opened"
     opened.write_bytes(b"")
     assert path.stat().st_mode == opened.stat().st_mode  # the umask decides, as for open()
-
-
-# --- grayscale conversion ---
-
-def test_grayscale_black_and_white():
-    rgb = np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8)
-    assert to_grayscale(rgb).tolist() == [[0, 255]]
-
-
-def test_grayscale_weighted_example():
-    # independent scalar computation of the same rounding
-    expected = math.floor(0.299 * 100 + 0.587 * 50 + 0.114 * 200 + 0.5)
-    assert expected == 82
-    rgb = np.array([[[100, 50, 200]]], dtype=np.uint8)
-    assert to_grayscale(rgb).tolist() == [[82]]
-
-
-def test_grayscale_of_gray_triple_is_identity():
-    values = np.arange(256, dtype=np.uint8)
-    rgb = np.stack([values, values, values], axis=-1).reshape(1, 256, 3)
-    assert np.array_equal(to_grayscale(rgb), values.reshape(1, 256))
-
-
-def test_grayscale_preserves_shape():
-    rgb = np.zeros((7, 11, 3), dtype=np.uint8)
-    assert to_grayscale(rgb).shape == (7, 11)
-
-
-@settings(max_examples=200)
-@given(
-    st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)),
-    st.integers(0, 2),
-)
-def test_grayscale_channel_monotone(pixel, channel):
-    rgb = np.array([[pixel]], dtype=np.uint8)
-    bumped = list(pixel)
-    if bumped[channel] == 255:
-        return
-    bumped[channel] += 1
-    brighter = np.array([[bumped]], dtype=np.uint8)
-    assert int(to_grayscale(brighter)[0, 0]) >= int(to_grayscale(rgb)[0, 0])
-
-
-def test_grayscale_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        to_grayscale(np.zeros((4, 4), dtype=np.uint8))
 
 
 # --- ROI checks ---

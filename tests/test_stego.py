@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from stegrle.errors import (
     RectOutOfBounds,
 )
 from stegrle.image import Rect
-from stegrle.metrics import mse
+from stegrle.metrics import compare
 from stegrle.stego import (
     EmbedReport,
     bytes_to_text,
@@ -181,9 +182,23 @@ def test_validate_ignores_lone_border_pixel():
     assert np.array_equal(restored, img)
 
 
-@given(sparse_carriers())
-def test_validate_matches_brute_force(img):
-    assert validate_carrier(img) == brute_isolated_nonzero(img)
+@given(sparse_carriers(), st.data())
+def test_validate_matches_brute_force(img, data):
+    """validate_carrier lists what extract would misread; embed refuses exactly those carriers."""
+    height, width = img.shape
+    pixels = st.tuples(st.integers(1, height - 2), st.integers(1, width - 2), st.integers(1, 255))
+    for y, x, value in data.draw(st.lists(pixels, max_size=4)):  # interior pixels may be isolated
+        img[y, x] = value
+    ambiguous = brute_isolated_nonzero(img)
+    assert validate_carrier(img) == ambiguous
+    roi = Rect(0, 0, width - 1, height - 1)
+    if ambiguous:
+        message = f"has {len(ambiguous)} isolated nonzero pixel(s), first at {ambiguous[0]};"
+        with pytest.raises(AmbiguousCarrier, match=re.escape(message)):
+            embed(img, roi, b"A")
+    else:
+        with contextlib.suppress(CapacityExceeded):  # a clean carrier may have no free site
+            embed(img, roi, b"A")
 
 
 def test_validate_matches_brute_force_on_noise():
@@ -453,7 +468,7 @@ def test_stego_damage_is_exactly_the_message(case):
         assert img[y, x] == 0
         assert stego[y, x] != 0
     expected = sum(b * b for b in message) / img.size
-    assert mse(img, stego) == expected
+    assert compare(img, stego).mse == expected
 
 
 @settings(max_examples=150, deadline=None)
