@@ -22,5 +22,6 @@ print("container size:", len(result.container), "bytes")
 print("recovered text:", bytes_to_text(result.message_out))
 print(f"stego distortion: mse={result.stego_quality.mse:.4f} "
       f"psnr={result.stego_quality.psnr:.4f} dB")
-print(f"after recovery:   mse={result.restored_quality.mse:.0f} "
-      f"psnr={result.restored_quality.psnr:.4f} dB")
+restored_psnr = result.restored_quality.psnr
+print(f"after recovery:   mse={result.restored_quality.mse:.0f} psnr="
+      + ("Infinity" if restored_psnr == float("inf") else f"{restored_psnr:.4f} dB"))

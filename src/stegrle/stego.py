@@ -141,10 +141,13 @@ def embed(img: np.ndarray, roi: Rect, message: bytes) -> tuple[np.ndarray, Embed
     message = np.frombuffer(bytes(message), np.uint8)
     if 0 in message:
         raise NulCharacter("message bytes must be in 1..255")
-    if ambiguous := validate_carrier(img):
+    hidden = _hidden(img)
+    ambiguous = int(np.count_nonzero(hidden))  # not validate_carrier's list: memory per site
+    if ambiguous:
+        y, x = divmod(int(hidden.argmax()), hidden.shape[1])  # the first in row-major order
         raise AmbiguousCarrier(
-            f"carrier has {len(ambiguous)} isolated nonzero pixel(s), "
-            f"first at {ambiguous[0]}; extraction would misread them"
+            f"carrier has {ambiguous} isolated nonzero pixel(s), "
+            f"first at {(x + 1, y + 1)}; extraction would misread them"
         )
     claimed, x0, y0 = _claimed(img, roi)
     capacity = int(np.count_nonzero(claimed))

@@ -55,9 +55,9 @@ def test_stego_distortion_golden_value():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        compare(np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8)).mse
+        compare(np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8))
     with pytest.raises(DimensionMismatch):
-        compare(np.zeros((2, 2), dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8)).psnr
+        compare(np.zeros((2, 2), dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8))
 
 
 def test_compare_identical_reports_infinite_psnr():

@@ -339,6 +339,20 @@ def test_embed_rejects_ambiguous_carrier():
         embed(img, Rect(0, 0, 5, 4), bytes([65]))
 
 
+def test_embed_refuses_a_checkerboard_without_listing_its_sites(monkeypatch):
+    def listing(*args):
+        raise AssertionError("embed built the list of ambiguous sites")
+
+    monkeypatch.setattr("stegrle.stego._mask_sites", listing)
+    monkeypatch.setattr("stegrle.stego.validate_carrier", listing)
+    side = 4096
+    board = np.tile(np.array([[0, 9], [9, 0]], dtype=np.uint8), (side // 2, side // 2))
+    ambiguous = (side - 2) ** 2 // 2  # every interior nonzero pixel has four zero neighbours
+    message = f"carrier has {ambiguous} isolated nonzero pixel(s), first at (2, 1);"
+    with pytest.raises(AmbiguousCarrier, match=re.escape(message)):
+        embed(board, Rect(0, 0, side - 1, side - 1), b"A")
+
+
 def test_embed_rejects_bad_roi():
     with pytest.raises(RectOutOfBounds):
         embed(zeros(5, 5), Rect(0, 0, 5, 4), bytes([65]))
