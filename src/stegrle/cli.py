@@ -19,9 +19,11 @@ import io
 import math
 import sys
 
+import numpy as np
+
 from .carrier import synthetic_carrier
 from .errors import EmptyMessage, NonLatinCharacter, StegRleError
-from .image import Rect, load_pgm, save_pgm, write_file, write_pgm
+from .image import Rect, load_pgm, pgm_header, save_pgm, write_file
 from .metrics import compare
 from .pipeline import run_pipeline
 from .rle import deserialize, rle_decode, rle_encode, serialize
@@ -92,8 +94,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
     save_pgm(args.out, stego)
     print(f"capacity: {report.capacity}")
     print(f"bytes hidden: {report.bytes_hidden}")
-    ys, xs = (stego != carrier).nonzero()  # the sites embed wrote, row-major
-    shown = " ".join(f"{x},{y}" for x, y in zip(xs[:_SITES_SHOWN], ys[:_SITES_SHOWN]))
+    written = np.flatnonzero(stego != carrier)[:_SITES_SHOWN]  # the sites embed wrote, row-major
+    sites = (divmod(int(i), stego.shape[1]) for i in written)
+    shown = " ".join(f"{x},{y}" for y, x in sites)
     more = report.bytes_hidden - _SITES_SHOWN
     print("sites:", shown + (f" ... ({more} more)" if more > 0 else ""))
     return 0
@@ -101,11 +104,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_compress(args: argparse.Namespace) -> int:
     img = load_pgm(args.infile)
-    raw = write_pgm(img)
+    raw = len(pgm_header(img)) + img.size  # the bytes write_pgm(img) would return
     container = serialize(rle_encode(img))
     write_file(args.out, container)
-    ratio = len(raw) / len(container)
-    print(f"raw bytes: {len(raw)}")
+    ratio = raw / len(container)
+    print(f"raw bytes: {raw}")
     print(f"container bytes: {len(container)}")
     print(f"ratio: {ratio:.2f}:1")
     return 0

@@ -10,8 +10,9 @@ round-trip tests compare files directly. The reader is more liberal and
 accepts binary P5 and ASCII P2 with ``#`` comments in the header (and
 between P2 samples), but, as the Netpbm spec asks, only decimal digits for
 numbers, no sample above maxval and, as in SRLE, at most ``MAX_PIXELS``
-pixels. One ``np.fromstring`` call parses a P2 raster of digits and
-whitespace; any other raster, trailing data included, goes token by token.
+pixels. A P2 raster of one- to three-digit samples between whitespace is
+parsed with numpy, ``_BLOCK`` bytes at a time, up to its last sample; any
+other raster goes token by token, so the first bad token is named.
 """
 
 from __future__ import annotations
@@ -29,12 +30,20 @@ MAX_PIXELS = 2**28  # 256 MiB of uint8, as Pillow's MAX_IMAGE_PIXELS
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
-_PLAIN = _WHITESPACE + b"0123456789"  # the bytes np.fromstring takes in a P2 raster
 # whitespace and comments, then a token; a skipped comment must reach its
 # newline, so backtracking cannot cut one short and return its tail as a token
 _TOKEN = re.compile(
     rb"(?:[%s]|%s(?![^\n]))*([^%s#]+)"
     % (re.escape(_WHITESPACE), _COMMENT.pattern, re.escape(_WHITESPACE))
+)
+
+_BLOCK = 1 << 16  # P2 raster bytes parsed per numpy step: the step's arrays stay in cache
+# bytes.translate table of each byte's class in a P2 raster: a digit's value,
+# _SPACE for whitespace, _SPACE + 1 for anything else
+_SPACE = 10
+_CLASS = bytes(
+    byte - 48 if 48 <= byte <= 57 else _SPACE if byte in _WHITESPACE else _SPACE + 1
+    for byte in range(256)
 )
 
 
@@ -107,23 +116,67 @@ def _header_int(token: bytes, name: str) -> int:
     raise MalformedHeader(f"PGM {name} is not a number: {token!r}")
 
 
-def _p2_samples(raster: bytes, count: int) -> np.ndarray:
-    """The first count samples of a P2 raster, refusing the first bad one in file order.
+def _plain_samples(text: bytes, pos: int, count: int) -> np.ndarray | None:
+    """Up to count samples of text[pos:] as uint16, or None if one is not plain.
 
-    Digits and whitespace alone are parsed by one np.fromstring call; any
-    other raster, or one with a sample above 255, goes token by token
-    through _header_int, which names the first token it refuses.
+    Plain samples are one to three digits between whitespace; bytes past the
+    one after the last sample read are not looked at. The raster is walked
+    _BLOCK bytes at a time. Each byte maps to its digit or to _SPACE, and a
+    block sees the three bytes before it and the one after, so a sample cut by
+    a block edge reads whole. A sample's value is taken at its last byte from
+    that digit and the two before it, each counted while the bytes between
+    are digits.
     """
-    # np.fromstring reads blank text as [0] and, given count=, memory past the end; it
-    # saturates a huge token but reads a run of zeros too long for int() as 0, and
-    # 638 zeros and three digits make 641, one past the lowest limit int() may be set to
-    text = _COMMENT.sub(b"", raster).strip()
-    plain = not text.translate(None, _PLAIN) and b"0" * 638 not in text
-    samples = np.fromstring(text, dtype=np.int64, sep=" ")[:count] if plain else None
-    if samples is None or samples.max(initial=0) > 255:
-        tokens = text.split(None, count)[:count]
+    size = len(text) - pos
+    # each sample takes a digit and a separator, so text, not the header, sizes this
+    samples = np.empty(min(count, (size + 1) // 2), dtype=np.uint16)
+    window = np.empty(min(size, _BLOCK) + 4, dtype=np.uint8)
+    window[:3] = _SPACE  # no byte before the raster is part of a sample
+    filled = 0
+    while filled < count and pos < len(text):
+        end = min(pos + _BLOCK, len(text))
+        block = end - pos
+        cls = window[: block + 4]
+        cls[3:-1] = np.frombuffer(text[pos:end].translate(_CLASS), dtype=np.uint8)
+        cls[-1] = _CLASS[text[end]] if end < len(text) else _SPACE
+        is_digit = np.less(cls, _SPACE)
+        # a sample ends at a digit before a non-digit; indices are into the block
+        ends = np.flatnonzero(np.greater(is_digit[3:-1], is_digit[4:]))[: count - filled]
+        # check the block through the byte after the last sample it must give
+        stop = int(ends[-1]) + 2 if ends.size == count - filled else block + 1
+        if cls[3 : stop + 3].max() > _SPACE:  # a byte neither digit nor whitespace
+            return None
+        run = is_digit[:stop] & is_digit[1 : stop + 1] & is_digit[2 : stop + 2]
+        if (run & is_digit[3 : stop + 3]).any():  # a sample of four or more digits
+            return None
+        digits = np.multiply(cls, is_digit, dtype=np.uint8)  # whitespace reads as 0
+        value = np.multiply(digits[1 : block + 1], is_digit[2 : block + 2], dtype=np.uint16)
+        value *= np.uint16(10)
+        value += digits[2 : block + 2]
+        value *= np.uint16(10)
+        value += digits[3 : block + 3]
+        taken = samples[filled : filled + ends.size]
+        np.take(value, ends, out=taken, mode="clip")  # "raise" would buffer out; ends fit value
+        filled += taken.size
+        window[:3] = cls[block : block + 3]
+        pos = end
+    return samples[:filled]
+
+
+def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
+    """The first count samples of the P2 raster at data[pos:], refusing the first bad one.
+
+    Plain rasters (see _plain_samples) are parsed in numpy blocks; any other
+    goes token by token through _header_int, which names the first token it
+    refuses in file order.
+    """
+    if data.find(b"#", pos) >= 0:
+        data, pos = _COMMENT.sub(b"", data[pos:]), 0
+    samples = _plain_samples(data, pos, count)
+    if samples is None:
+        tokens = data[pos:].split(None, count)[:count]
         # clamped to 256: any sample above 255 fails the maxval check the same
-        samples = np.array([min(_header_int(t, "pixel"), 256) for t in tokens], dtype=np.int64)
+        samples = np.array([min(_header_int(t, "pixel"), 256) for t in tokens], dtype=np.uint16)
     if samples.size < count:
         raise TruncatedData(f"expected {count} pixel values, found {samples.size}")
     return samples
@@ -157,18 +210,22 @@ def read_pgm(data: bytes) -> np.ndarray:
             raise TruncatedData(f"expected {count} pixel bytes, found {len(raster)}")
         samples = np.frombuffer(raster, dtype=np.uint8, count=count)
     else:
-        samples = _p2_samples(data[pos:], count)
+        samples = _p2_samples(data, pos, count)
     if samples.max() > maxval:
         raise MalformedHeader(f"pixel value above maxval {maxval}")
     return samples.astype(np.uint8).reshape(height, width)
 
 
+def pgm_header(img: np.ndarray) -> bytes:
+    """The canonical P5 header that write_pgm puts before img's raster."""
+    height, width = img.shape
+    return f"P5\n{width} {height}\n255\n".encode("ascii")
+
+
 def write_pgm(img: np.ndarray) -> bytes:
     """Serialize a grayscale image as canonical binary PGM (P5)."""
     img = as_gray(img)
-    height, width = img.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    return pgm_header(img) + img.tobytes()
 
 
 def load_pgm(path) -> np.ndarray:

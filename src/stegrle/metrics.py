@@ -26,11 +26,14 @@ def compare(a: np.ndarray, b: np.ndarray) -> QualityReport:
 
     The squared differences are summed exactly before one division; PSNR is
     10*log10(255^2 / mse) in decibels, infinite for identical images.
+    |a - b| is taken as max - min in uint8 and squared in uint16, so the
+    temporaries peak at 3 bytes per pixel.
     """
     a, b = as_gray(a), as_gray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"image shapes differ: {a.shape} vs {b.shape}")
-    diff = np.subtract(a, b, dtype=np.int16)
-    error = int(np.square(diff, dtype=np.int32).sum(dtype=np.int64)) / a.size
+    diff = np.maximum(a, b, dtype=np.uint8)
+    diff -= np.minimum(a, b, dtype=np.uint8)
+    error = int(np.square(diff, dtype=np.uint16).sum(dtype=np.int64)) / a.size
     psnr = math.inf if error == 0 else 10.0 * math.log10(PEAK * PEAK / error)
     return QualityReport(mse=error, psnr=psnr)

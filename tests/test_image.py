@@ -1,5 +1,8 @@
 import os
 import re
+import tracemalloc
+from itertools import cycle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import brute_read_p2, brute_read_pgm
+from oracles import PGM_WHITESPACE, brute_read_p2, brute_read_pgm
+from stegrle import image
 from stegrle.errors import (
     MalformedHeader,
     PixelBudgetExceeded,
@@ -182,15 +186,7 @@ p2_separators = st.sampled_from(
 )
 
 
-@settings(max_examples=400)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.one_of(st.just(255), st.integers(1, 255)),
-    st.lists(st.tuples(p2_tokens, p2_separators), max_size=20),
-    st.binary(max_size=4),
-)
-def test_read_p2_matches_brute_force(width, height, maxval, pieces, trailing):
+def check_p2_against_brute_force(width, height, maxval, pieces, trailing):
     raster = b"\n" + b"".join(token + sep for token, sep in pieces) + trailing
     expected = brute_read_p2(raster, width * height)
     if isinstance(expected, list) and max(expected) > maxval:
@@ -201,6 +197,134 @@ def test_read_p2_matches_brute_force(width, height, maxval, pieces, trailing):
         assert type(error).__name__ == expected
     else:
         assert img.ravel().tolist() == expected
+
+
+p2_rasters = (
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.one_of(st.just(255), st.integers(1, 255)),
+    st.lists(st.tuples(p2_tokens, p2_separators), max_size=20),
+    st.binary(max_size=4),
+)
+
+
+@settings(max_examples=400)
+@given(*p2_rasters)
+def test_read_p2_matches_brute_force(width, height, maxval, pieces, trailing):
+    check_p2_against_brute_force(width, height, maxval, pieces, trailing)
+
+
+@settings(max_examples=400)
+@given(*p2_rasters)
+def test_read_p2_matches_brute_force_in_blocks_of_8(width, height, maxval, pieces, trailing):
+    # the rasters above fit in one block of the real size; here most span several
+    with mock.patch.object(image, "_BLOCK", 8):
+        check_p2_against_brute_force(width, height, maxval, pieces, trailing)
+
+
+def read_p2_counting_tokens(data):
+    """read_pgm(data) and how many samples went token by token through _header_int."""
+    names = []
+    header_int = image._header_int
+
+    def counted(token, name):
+        names.append(name)
+        return header_int(token, name)
+
+    with mock.patch.object(image, "_header_int", counted):
+        img = read_pgm(data)
+    return img, names.count("pixel")
+
+
+def p2_with_sample_ending_at(last, token):
+    """A P2 of 9s and token whose raster (from the header's end) has token's last byte at last."""
+    start = last - len(token) + 1  # at least 3, so the lead starts and ends with whitespace
+    lead = b"\n" + b" " * ((start - 1) % 2) + b"9 " * ((start - 1) // 2)
+    raster = lead + token + b"\n3"
+    assert raster.index(token, start) == start
+    return b"P2 %d 1 255" % len(raster.split()) + raster, raster
+
+
+@pytest.mark.parametrize("edge", range(-4, 4))
+@pytest.mark.parametrize("token", [b"7", b"42", b"255"])
+def test_read_p2_reads_a_sample_cut_by_a_block_edge(token, edge):
+    data, raster = p2_with_sample_ending_at(image._BLOCK + edge, token)
+    img, tokens_read = read_p2_counting_tokens(data)
+    assert img.ravel().tolist() == brute_read_p2(raster, img.size)
+    assert img[0, -2] == int(token)
+    assert tokens_read == 0
+
+
+def test_read_p2_takes_all_six_whitespace_bytes_in_any_block():
+    assert len(PGM_WHITESPACE) == 6
+    values = np.random.default_rng(5).integers(0, 256, 40_000).tolist()
+    seps = cycle(bytes([byte]) * run for run in (1, 2, 3, 5) for byte in PGM_WHITESPACE)
+    raster = b"".join(next(seps) + b"%d" % v for v in values) + next(seps)
+    # 40,000 samples span three real blocks; 7 puts each byte at every offset of some block
+    for block, count in ((image._BLOCK, 40_000), (8, 2_000), (7, 2_000)):
+        data = b"P2 %d 1 255" % count + raster
+        with mock.patch.object(image, "_BLOCK", block):
+            img, tokens_read = read_p2_counting_tokens(data)
+        assert img.ravel().tolist() == values[:count] == brute_read_p2(raster, count)
+        assert tokens_read == 0
+
+
+@pytest.mark.parametrize("token", [b"0007", b"00255", b"1234"])
+def test_read_p2_sends_a_long_sample_in_a_later_block_token_by_token(token):
+    data, raster = p2_with_sample_ending_at(3 * image._BLOCK + 10, token)
+    expected = brute_read_p2(raster, len(raster.split()))
+    if max(expected) > 255:
+        with pytest.raises(MalformedHeader, match="above maxval 255"):
+            read_pgm(data)
+        return
+    img, tokens_read = read_p2_counting_tokens(data)
+    assert img.ravel().tolist() == expected
+    assert tokens_read == img.size
+
+
+@pytest.mark.parametrize("token", [b"256", b"300", b"999"])
+@pytest.mark.parametrize("last", [100, image._BLOCK, 2 * image._BLOCK + 1])
+def test_read_p2_refuses_a_three_digit_sample_above_255(token, last):
+    data, _ = p2_with_sample_ending_at(last, token)
+    with pytest.raises(MalformedHeader, match="above maxval 255"):
+        read_pgm(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"P2 1 1 255 7 x", b"P2 1 1 255 7 " + b"0" * 4301, b"P2 2 1 255 7\t8 " + b"\xff" * 70_000],
+    ids=["junk", "4301-digits", "a-block-of-junk"],
+)
+def test_read_p2_does_not_read_past_its_last_sample(data):
+    img, tokens_read = read_p2_counting_tokens(data)
+    assert img.ravel().tolist() == [7, 8][: img.size]
+    assert tokens_read == 0
+
+
+def test_read_p2_allocates_for_its_text_not_its_header():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedData):
+            read_pgm(b"P2 16384 16384 255\n7 8")  # MAX_PIXELS declared, two samples sent
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_read_p2_peak_memory_per_pixel():
+    img = np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8)
+    rows = (b" ".join(b"%d" % v for v in row) for row in img.tolist())
+    data = b"P2 1024 1024 255\n" + b"\n".join(rows)
+    read_pgm(data)  # numpy's one-time set-up is not the reader's
+    tracemalloc.start()
+    try:
+        decoded = read_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded, img)
+    assert peak <= 7 * img.size  # 2 B of uint16 samples, 1 B of image, the blocks' arrays
 
 
 @settings(max_examples=300)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,3 +103,42 @@ def test_psnr_formulations_agree_on_1000_random_pairs():
         assert value == pytest.approx(via_root, abs=1e-9)
         assert value == pytest.approx(via_difference, abs=1e-9)
         checked += 1
+
+
+def int64_mse(a, b):
+    return int(((a.astype(np.int64) - b.astype(np.int64)) ** 2).sum()) / a.size
+
+
+def test_compare_is_the_exact_int64_mse():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 300, size=2))
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        kind = rng.integers(0, 3)
+        if kind == 0:  # independent noise
+            b = rng.integers(0, 256, shape, dtype=np.uint8)
+        elif kind == 1:  # a few pixels apart, as a stego image is
+            b = a.copy()
+            b.flat[rng.integers(0, a.size, 5)] = rng.integers(0, 256, 5, dtype=np.uint8)
+        else:  # only the extremes, so every difference is 0 or 255 either way round
+            a = rng.choice(np.array([0, 255], dtype=np.uint8), shape)
+            b = rng.choice(np.array([0, 255], dtype=np.uint8), shape)
+        assert compare(a, b).mse == int64_mse(a, b) == compare(b, a).mse
+    white = np.full((512, 512), 255, dtype=np.uint8)
+    for pair in ((white, np.zeros_like(white)), (np.zeros_like(white), white)):
+        assert compare(*pair).mse == int64_mse(*pair) == 65025
+        assert compare(*pair).psnr == 0.0
+
+
+def test_compare_peak_memory_per_pixel():
+    rng = np.random.default_rng(4)
+    a, b = (rng.integers(0, 256, (1024, 1024), dtype=np.uint8) for _ in range(2))
+    compare(a, b)  # numpy's one-time set-up is not compare's
+    tracemalloc.start()
+    try:
+        report = compare(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mse == int64_mse(a, b)
+    assert peak <= 3.5 * a.size  # 1 B of uint8 difference and 2 B of uint16 squares
