@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except StegRleError as exc:
-        print(f"error: {exc.token}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: IOError: {exc}", file=sys.stderr)

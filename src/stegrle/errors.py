@@ -1,8 +1,7 @@
 """Exception hierarchy.
 
 Every error class carries a stable ``exit_code`` so the command-line front
-end can map failures to distinct process exit statuses, and a ``token``
-(the class name) that is printed as the machine-readable error name.
+end can map failures to distinct process exit statuses.
 """
 
 
@@ -10,10 +9,6 @@ class StegRleError(Exception):
     """Base class for all errors raised by this package."""
 
     exit_code = 1
-
-    @property
-    def token(self) -> str:
-        return type(self).__name__
 
 
 class VerificationFailed(StegRleError):

@@ -11,8 +11,9 @@ accepts binary P5 and ASCII P2 with ``#`` comments in the header (and
 between P2 samples), but, as the Netpbm spec asks, only decimal digits for
 numbers, no sample above maxval and, as in SRLE, at most ``MAX_PIXELS``
 pixels. A P2 raster of one- to three-digit samples between whitespace is
-parsed with numpy, ``_BLOCK`` bytes at a time, up to its last sample; any
-other raster goes token by token, so the first bad token is named.
+parsed with numpy up to its last sample, in blocks of about ``_BLOCK`` bytes
+that each end where a sample ends; any other raster goes token by token, so
+the first bad token is named.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ _TOKEN = re.compile(
     % (re.escape(_WHITESPACE), _COMMENT.pattern, re.escape(_WHITESPACE))
 )
 
-_BLOCK = 1 << 16  # P2 raster bytes parsed per numpy step: the step's arrays stay in cache
+_BLOCK = 1 << 16  # P2 raster bytes per numpy step, then on to a sample's end: they stay in cache
 # bytes.translate table of each byte's class in a P2 raster: a digit's value,
 # _SPACE for whitespace, _SPACE + 1 for anything else
 _SPACE = 10
@@ -116,39 +117,45 @@ def _header_int(token: bytes, name: str) -> int:
     raise MalformedHeader(f"PGM {name} is not a number: {token!r}")
 
 
-def _plain_samples(text: bytes, pos: int, count: int) -> np.ndarray | None:
-    """Up to count samples of text[pos:] as uint16, or None if one is not plain.
+def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
+    """The first count samples of the P2 raster at data[pos:], refusing the first bad one.
 
-    Plain samples are one to three digits between whitespace; bytes past the
-    one after the last sample read are not looked at. The raster is walked
-    _BLOCK bytes at a time. Each byte maps to its digit or to _SPACE, and a
-    block sees the three bytes before it and the one after, so a sample cut by
-    a block edge reads whole. A sample's value is taken at its last byte from
-    that digit and the two before it, each counted while the bytes between
-    are digits.
+    Plain samples, one to three digits between whitespace, are parsed in numpy
+    blocks up to the byte after the last sample. Each byte maps to its digit or
+    to _SPACE; a sample's value is taken at its last byte from that digit and
+    the two before it, each counted while the bytes between are digits. A block
+    with a sample that is not plain sends the raster token by token through
+    _header_int, which names the first token it refuses in file order.
     """
-    size = len(text) - pos
+    if data.find(b"#", pos) >= 0:
+        data, pos = _COMMENT.sub(b"", data[pos:]), 0
     # each sample takes a digit and a separator, so text, not the header, sizes this
-    samples = np.empty(min(count, (size + 1) // 2), dtype=np.uint16)
-    window = np.empty(min(size, _BLOCK) + 4, dtype=np.uint8)
-    window[:3] = _SPACE  # no byte before the raster is part of a sample
-    filled = 0
-    while filled < count and pos < len(text):
-        end = min(pos + _BLOCK, len(text))
+    samples = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint16)
+    # a block and the 3 separators before it and 1 after: no sample runs into or out of it
+    window = np.full(min(len(data) - pos, _BLOCK + 4) + 4, _SPACE, dtype=np.uint8)
+    filled, raster = 0, pos
+    while filled < count and pos < len(data):
+        # run on through up to 3 digits and the byte after them, so the block ends where a
+        # sample ends and needs no byte of the one before; a 4th digit makes it not plain
+        head = data[pos + _BLOCK : pos + _BLOCK + 3]
+        end = min(pos + _BLOCK + len(head) - len(head.lstrip(b"0123456789")) + 1, len(data))
         block = end - pos
         cls = window[: block + 4]
-        cls[3:-1] = np.frombuffer(text[pos:end].translate(_CLASS), dtype=np.uint8)
-        cls[-1] = _CLASS[text[end]] if end < len(text) else _SPACE
+        cls[3:-1] = np.frombuffer(data[pos:end].translate(_CLASS), dtype=np.uint8)
+        cls[-1] = _SPACE
         is_digit = np.less(cls, _SPACE)
         # a sample ends at a digit before a non-digit; indices are into the block
         ends = np.flatnonzero(np.greater(is_digit[3:-1], is_digit[4:]))[: count - filled]
         # check the block through the byte after the last sample it must give
         stop = int(ends[-1]) + 2 if ends.size == count - filled else block + 1
-        if cls[3 : stop + 3].max() > _SPACE:  # a byte neither digit nor whitespace
-            return None
         run = is_digit[:stop] & is_digit[1 : stop + 1] & is_digit[2 : stop + 2]
-        if (run & is_digit[3 : stop + 3]).any():  # a sample of four or more digits
-            return None
+        # a byte neither digit nor whitespace, or a sample of four or more digits
+        if cls[3 : stop + 3].max() > _SPACE or (run & is_digit[3 : stop + 3]).any():
+            tokens = data[raster:].split(None, count)[:count]
+            # clamped to 256: any sample above 255 fails the maxval check the same
+            samples = np.array([min(_header_int(t, "pixel"), 256) for t in tokens], dtype=np.uint16)
+            filled = samples.size
+            break
         digits = np.multiply(cls, is_digit, dtype=np.uint8)  # whitespace reads as 0
         value = np.multiply(digits[1 : block + 1], is_digit[2 : block + 2], dtype=np.uint16)
         value *= np.uint16(10)
@@ -158,27 +165,9 @@ def _plain_samples(text: bytes, pos: int, count: int) -> np.ndarray | None:
         taken = samples[filled : filled + ends.size]
         np.take(value, ends, out=taken, mode="clip")  # "raise" would buffer out; ends fit value
         filled += taken.size
-        window[:3] = cls[block : block + 3]
         pos = end
-    return samples[:filled]
-
-
-def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
-    """The first count samples of the P2 raster at data[pos:], refusing the first bad one.
-
-    Plain rasters (see _plain_samples) are parsed in numpy blocks; any other
-    goes token by token through _header_int, which names the first token it
-    refuses in file order.
-    """
-    if data.find(b"#", pos) >= 0:
-        data, pos = _COMMENT.sub(b"", data[pos:]), 0
-    samples = _plain_samples(data, pos, count)
-    if samples is None:
-        tokens = data[pos:].split(None, count)[:count]
-        # clamped to 256: any sample above 255 fails the maxval check the same
-        samples = np.array([min(_header_int(t, "pixel"), 256) for t in tokens], dtype=np.uint16)
-    if samples.size < count:
-        raise TruncatedData(f"expected {count} pixel values, found {samples.size}")
+    if filled < count:
+        raise TruncatedData(f"expected {count} pixel values, found {filled}")
     return samples
 
 

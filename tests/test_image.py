@@ -222,6 +222,14 @@ def test_read_p2_matches_brute_force_in_blocks_of_8(width, height, maxval, piece
         check_p2_against_brute_force(width, height, maxval, pieces, trailing)
 
 
+@settings(max_examples=400)
+@given(*p2_rasters)
+def test_read_p2_matches_brute_force_in_blocks_of_7(width, height, maxval, pieces, trailing):
+    # an odd size moves each block's nominal edge across samples and separators
+    with mock.patch.object(image, "_BLOCK", 7):
+        check_p2_against_brute_force(width, height, maxval, pieces, trailing)
+
+
 def read_p2_counting_tokens(data):
     """read_pgm(data) and how many samples went token by token through _header_int."""
     names = []
@@ -269,9 +277,8 @@ def test_read_p2_takes_all_six_whitespace_bytes_in_any_block():
         assert tokens_read == 0
 
 
-@pytest.mark.parametrize("token", [b"0007", b"00255", b"1234"])
-def test_read_p2_sends_a_long_sample_in_a_later_block_token_by_token(token):
-    data, raster = p2_with_sample_ending_at(3 * image._BLOCK + 10, token)
+def check_a_long_sample_goes_token_by_token(token, last):
+    data, raster = p2_with_sample_ending_at(last, token)
     expected = brute_read_p2(raster, len(raster.split()))
     if max(expected) > 255:
         with pytest.raises(MalformedHeader, match="above maxval 255"):
@@ -280,6 +287,40 @@ def test_read_p2_sends_a_long_sample_in_a_later_block_token_by_token(token):
     img, tokens_read = read_p2_counting_tokens(data)
     assert img.ravel().tolist() == expected
     assert tokens_read == img.size
+
+
+@pytest.mark.parametrize("token", [b"0007", b"00255", b"1234"])
+def test_read_p2_sends_a_long_sample_in_a_later_block_token_by_token(token):
+    check_a_long_sample_goes_token_by_token(token, 3 * image._BLOCK + 10)
+
+
+@pytest.mark.parametrize("edge", range(-4, 5))
+@pytest.mark.parametrize("token", [b"0007", b"00255", b"1234"])
+def test_read_p2_sends_a_long_sample_at_a_block_edge_token_by_token(token, edge):
+    # a block runs on past its edge through a sample's digits; three would read 0007 as 000, 7
+    check_a_long_sample_goes_token_by_token(token, image._BLOCK + edge)
+
+
+@pytest.mark.parametrize("edge", range(-2, 3))
+def test_read_p2_refuses_junk_glued_to_its_last_sample_at_a_block_edge(edge):
+    # the x is the byte after the last sample read, on either side of the block's nominal end
+    _, raster = p2_with_sample_ending_at(image._BLOCK + edge, b"7x")
+    data = b"P2 %d 1 255" % (len(raster.split()) - 1) + raster
+    with pytest.raises(MalformedHeader, match=re.escape("pixel is not a number: b'7x'")):
+        read_pgm(data)
+
+
+def test_read_p2_caps_how_far_a_block_runs_on():
+    # one 2 MB digit run: a block that ran on to the run's end would hold all of it
+    data = b"P2 1 1 255 " + b"1" * 2_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedHeader, match="pixel is not a number"):
+            read_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(data)
 
 
 @pytest.mark.parametrize("token", [b"256", b"300", b"999"])
@@ -470,6 +511,12 @@ def test_rect_past_right_edge():
         check_rect(img, Rect(0, 0, 256, 10))
 
 
+def test_rect_past_bottom_edge():
+    img = np.zeros((256, 128), dtype=np.uint8)
+    with pytest.raises(RectOutOfBounds, match="y1=256 outside image of height 256"):
+        check_rect(img, Rect(0, 0, 10, 256))
+
+
 def test_rect_inverted_corners():
     img = np.zeros((8, 8), dtype=np.uint8)
     with pytest.raises(RectOutOfBounds):
@@ -492,6 +539,11 @@ def test_as_gray_rejects_out_of_range():
 def test_as_gray_rejects_empty():
     with pytest.raises(ValueError):
         as_gray(np.zeros((0, 4), dtype=np.uint8))
+
+
+def test_as_gray_rejects_a_color_array():
+    with pytest.raises(ValueError, match=re.escape("must be 2-D, got shape (2, 2, 3)")):
+        as_gray(np.zeros((2, 2, 3), dtype=np.uint8))
 
 
 def test_as_gray_accepts_plain_lists():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from stegrle import pipeline
 from stegrle.carrier import synthetic_carrier
-from stegrle.errors import AmbiguousCarrier, CapacityExceeded
+from stegrle.errors import AmbiguousCarrier, CapacityExceeded, VerificationFailed
 from stegrle.image import Rect
 from stegrle.pipeline import PHASES, run_pipeline
-from stegrle.stego import text_to_bytes
+from stegrle.stego import embed, text_to_bytes
 
 ROI = Rect(1, 1, 60, 60)
 MESSAGE = text_to_bytes("GRI pid:007")
@@ -50,6 +51,36 @@ def test_pipeline_propagates_capacity_error():
     with pytest.raises(CapacityExceeded) as err:
         run_pipeline(carrier, Rect(1, 1, 2, 2), bytes([9] * 50))
     assert "data-hiding" in str(err.value)
+    with pytest.raises(CapacityExceeded) as direct:
+        embed(carrier, Rect(1, 1, 2, 2), bytes([9] * 50))
+    assert str(err.value) == f"data-hiding phase failed: {direct.value}"
+
+
+def changed_first(data):
+    """data with its first byte or pixel changed."""
+    if isinstance(data, bytes):
+        return bytes([data[0] ^ 1]) + data[1:]
+    changed = data.copy()
+    changed.flat[0] ^= 1
+    return changed
+
+
+@pytest.mark.parametrize(
+    "layer, corrupt, error",
+    [
+        ("rle_decode", changed_first, "decompressed image differs from stego image"),
+        ("extract", lambda out: (changed_first(out[0]), out[1]), "recovered message differs"),
+        ("extract", lambda out: (out[0], changed_first(out[1])), "restored image differs"),
+    ],
+    ids=["decompressed-pixel", "message-byte", "restored-pixel"],
+)
+def test_pipeline_refuses_a_round_trip_that_changes_one_pixel_or_byte(
+    monkeypatch, layer, corrupt, error
+):
+    real = getattr(pipeline, layer)
+    monkeypatch.setattr(pipeline, layer, lambda *args: corrupt(real(*args)))
+    with pytest.raises(VerificationFailed, match=error):
+        run_pipeline(synthetic_carrier(), ROI, MESSAGE)
 
 
 def test_pipeline_container_is_compact():

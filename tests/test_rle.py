@@ -167,6 +167,13 @@ def test_stream_cannot_change_after_it_is_checked(change, error):
     assert stream.runs() == [(6, 2)]
 
 
+def test_a_stream_equals_only_a_stream():
+    stream = stream_of(2, 1, [(5, 2)])
+    assert stream.__eq__(5) is NotImplemented
+    assert stream != 5 and stream != [(5, 2)]
+    assert stream == stream_of(2, 1, [(5, 2)])
+
+
 def test_decode_tolerates_non_canonical_runs():
     assert rle_decode(stream_of(4, 1, [(5, 2), (5, 2)])).tolist() == [[5, 5, 5, 5]]
 

@@ -217,6 +217,12 @@ def test_synthetic_carrier_is_clean_for_every_geometry():
             assert extract(img)[0] == b""
 
 
+@pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (-1, 5)])
+def test_synthetic_carrier_refuses_an_empty_geometry(width, height):
+    with pytest.raises(ValueError, match=f"at least 1x1, got {width}x{height}"):
+        synthetic_carrier(width, height)
+
+
 def test_synthetic_carrier_checks_the_pixel_budget_before_allocating(monkeypatch):
     monkeypatch.setattr(carrier, "np", None)  # any numpy call would raise AttributeError
     with pytest.raises(PixelBudgetExceeded):
