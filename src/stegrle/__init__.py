@@ -2,15 +2,7 @@
 
 from . import errors
 from .carrier import synthetic_carrier
-from .image import (
-    Rect,
-    as_gray,
-    check_rect,
-    load_pgm,
-    read_pgm,
-    save_pgm,
-    write_pgm,
-)
+from .image import Rect, load_pgm, read_pgm, save_pgm, write_pgm
 from .metrics import QualityReport, compare
 from .pipeline import PHASES, PipelineResult, TimingReport, run_pipeline
 from .rle import RunLengthStream, deserialize, rle_decode, rle_encode, serialize
@@ -35,9 +27,7 @@ __all__ = [
     "Rect",
     "RunLengthStream",
     "TimingReport",
-    "as_gray",
     "bytes_to_text",
-    "check_rect",
     "compare",
     "deserialize",
     "embed",

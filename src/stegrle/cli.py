@@ -34,9 +34,9 @@ _SITES_SHOWN = 16  # embed prints this many sites, then how many more there are
 
 
 def _decimal(text: str) -> int:
-    """Parse an optional '-' and ASCII digits; int() also takes '_', '+' and non-ASCII digits."""
+    """Parse an optional '-' and 1 to 320 ASCII digits, as read_pgm; int() also takes '_', '+'."""
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 320):
         raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
     return int(text)
 
@@ -46,13 +46,6 @@ def _roi_arg(text: str) -> Rect:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("roi must be x0,y0,x1,y1")
     return Rect(*map(_decimal, parts))
-
-
-def _positive_int(text: str) -> int:
-    value = _decimal(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
 
 
 def _message_from_args(args: argparse.Namespace) -> bytes:
@@ -198,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-carrier", help="write a synthetic test carrier")
     p.add_argument("--out", required=True, help="output PGM path")
-    p.add_argument("--width", type=_positive_int, default=256)
-    p.add_argument("--height", type=_positive_int, default=256)
+    p.add_argument("--width", type=_decimal, default=256)
+    p.add_argument("--height", type=_decimal, default=256)
     p.set_defaults(func=cmd_gen_carrier)
 
     p = sub.add_parser("embed", help="hide a message in a carrier image")

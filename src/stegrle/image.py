@@ -10,10 +10,11 @@ round-trip tests compare files directly. The reader is more liberal and
 accepts binary P5 and ASCII P2 with ``#`` comments in the header (and
 between P2 samples), but, as the Netpbm spec asks, only decimal digits for
 numbers, no sample above maxval and, as in SRLE, at most ``MAX_PIXELS``
-pixels. A P2 raster of one- to three-digit samples between whitespace is
-parsed with numpy up to its last sample, in blocks of about ``_BLOCK`` bytes
-that each end where a sample ends; any other raster goes token by token, so
-the first bad token is named.
+pixels. A number has 1 to 320 digits, so it and the pixel count a refusal
+prints convert under any ``int()`` digit limit. A P2 raster of one- to
+three-digit samples between whitespace is parsed with numpy up to its last
+sample, in blocks of about ``_BLOCK`` bytes that each end where a sample
+ends; any other raster goes token by token, so the first bad token is named.
 """
 
 from __future__ import annotations
@@ -108,12 +109,10 @@ def _scan_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def _header_int(token: bytes, name: str) -> int:
-    """Parse ASCII decimal digits only; int() alone also takes signs and underscores."""
-    try:
-        if token.isdigit():
-            return int(token)
-    except ValueError:  # more digits than int() converts
-        pass
+    """Parse 1 to 320 ASCII decimal digits; int() alone also takes signs and underscores."""
+    # int() and str() take 640 digits in every setting, and width*height has at most 640
+    if token.isdigit() and len(token) <= 320:
+        return int(token)
     raise MalformedHeader(f"PGM {name} is not a number: {token!r}")
 
 

@@ -71,7 +71,8 @@ def run_pipeline(carrier: np.ndarray, roi: Rect, message: bytes) -> PipelineResu
         raise VerificationFailed("decompressed image differs from stego image")
     if message_out != message:
         raise VerificationFailed("recovered message differs from input")
-    if not np.array_equal(restored, carrier):
+    restored_quality = compare(carrier, restored)
+    if restored_quality.mse:
         raise VerificationFailed("restored image differs from carrier")
 
     return PipelineResult(
@@ -82,5 +83,5 @@ def run_pipeline(carrier: np.ndarray, roi: Rect, message: bytes) -> PipelineResu
         embed_report=report,
         timing=TimingReport(phases=seconds),
         stego_quality=compare(carrier, stego),
-        restored_quality=compare(carrier, restored),
+        restored_quality=restored_quality,
     )

@@ -40,10 +40,10 @@ class RunLengthStream:
     _repeats: np.ndarray = field(init=False, repr=False)  # lengths before the read-only view
 
     def __post_init__(self) -> None:
-        """Apply rules 6 and 7 of docs/srle-format.md, equal vector sizes and 0..255 values."""
+        """Apply rules 6 to 8 of docs/srle-format.md, equal vector sizes and 0..255 values."""
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
             raise LengthMismatch(f"invalid dimensions {self.width!r}x{self.height!r}")
-        pixels = int(self.width) * int(self.height)  # numpy ints would wrap
+        pixels = check_pixels(self.width, self.height)
         lengths = np.asarray(self.lengths)
         if lengths.size and not np.issubdtype(lengths.dtype, np.integer):  # [] is float64
             raise LengthMismatch(f"run lengths must be integers, got dtype {lengths.dtype}")
@@ -53,7 +53,6 @@ class RunLengthStream:
             raise LengthMismatch(f"run of length {longest} is longer than the image")
         if (total := int(lengths.sum())) != pixels:
             raise LengthMismatch(f"run lengths sum to {total}, image needs {pixels} pixels")
-        check_pixels(self.width, self.height)
         lengths = lengths.astype(np.int64, copy=False)
         values = np.asarray(self.values)
         if lengths.ndim != 1 or values.shape != lengths.shape:

@@ -1,0 +1,106 @@
+"""Faults the tests must keep catching: each row puts one mended fault back into src/stegrle.
+
+A row names the module, the exact text that guards against the fault, the faulty text
+that replaces it, the tests that must fail once it is applied, and the CHANGES.md entry
+that the fault comes from. Each text occurs exactly once in its module, which
+test_mutants.py checks, so a change that rewrites the guarded code fails there and ports
+the row; a row is never dropped to make a mutant pass.
+"""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Mutant:
+    module: str  # under src/stegrle
+    text: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to tests/
+    source: str  # words of the CHANGES.md entry
+
+
+MUTANTS = [
+    Mutant(
+        "image.py",
+        "token.isdigit() and len(token) <= 320",
+        "token.isdigit()",
+        ("test_cli.py::test_read_pgm_gives_one_outcome_under_every_digit_limit",),
+        "One owner per rule:",
+    ),
+    Mutant(
+        "rle.py",
+        "pixels = check_pixels(self.width, self.height)",
+        "pixels = self.width * self.height",
+        (
+            "test_rle.py::test_deserialize_survives_single_byte_corruption",
+            "test_rle.py::test_decode_refuses_a_pixel_bomb",
+        ),
+        "One owner per rule:",
+    ),
+    Mutant(
+        "pipeline.py",
+        "if restored_quality.mse:",
+        "if False:",
+        ("test_pipeline.py::test_pipeline_refuses_a_round_trip_that_changes_one_pixel_or_byte",),
+        "One owner per rule:",
+    ),
+    Mutant(
+        "carrier.py",
+        "if width < 1 or height < 1:",
+        "if False:",
+        (
+            "test_cli.py::test_gen_carrier_leaves_the_size_rule_to_synthetic_carrier",
+            "test_stego.py::test_synthetic_carrier_refuses_an_empty_geometry",
+        ),
+        "One owner per rule:",
+    ),
+    Mutant(
+        "stego.py",
+        "rows.tobytes()",
+        'rows.tobytes(order="A")',
+        ("test_stego.py::test_non_contiguous_inputs_give_the_contiguous_results",),
+        "on a Fortran-ordered carrier `np.packbits` returns Fortran-ordered rows",
+    ),
+    Mutant(
+        "image.py",
+        "int(width) * int(height)",
+        "width * height",
+        ("test_stego.py::test_synthetic_carrier_checks_the_pixel_budget_before_allocating",),
+        "`image.check_pixels` and `RunLengthStream` multiply `int(width) * int(height)`",
+    ),
+    Mutant(
+        "rle.py",
+        "stream._repeats",
+        "stream.lengths",
+        ("test_rle.py::test_decode_does_not_copy_the_run_lengths",),
+        "MENDED: `src/stegrle/rle.py` `rle_decode` now copies the stream's int64 lengths",
+    ),
+    Mutant(
+        "rle.py",
+        "{self.width!r}x{self.height!r}",
+        "{self.width}x{self.height}",
+        ("test_rle.py::test_numpy_dimensions_are_multiplied_as_python_ints",),
+        "MENDED: `src/stegrle/rle.py` `RunLengthStream` formats its dimension refusal",
+    ),
+    Mutant(
+        "rle.py",
+        '("values", check_values(values))',
+        '("values", values)',
+        ("test_rle.py::test_values_outside_a_byte_are_refused_not_wrapped",),
+        "MENDED: `src/stegrle/rle.py` `rle_decode` still narrows hand-built stream values",
+    ),
+    Mutant(
+        "image.py",
+        "data[pos + _BLOCK : pos + _BLOCK + 3]",
+        "data[pos + _BLOCK : pos + _BLOCK + 2]",
+        ("test_image.py::test_read_p2_sends_a_long_sample_at_a_block_edge_token_by_token",),
+        "The P2 reader's numpy blocks now end where a sample ends",
+    ),
+    Mutant(
+        "image.py",
+        'len(head.lstrip(b"0123456789")) + 1',
+        'len(head.lstrip(b"0123456789"))',
+        ("test_image.py::test_read_p2_refuses_junk_glued_to_its_last_sample_at_a_block_edge",),
+        "The P2 reader's numpy blocks now end where a sample ends",
+    ),
+]

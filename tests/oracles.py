@@ -134,6 +134,11 @@ def brute_pgm_header(data):
     return tokens, pos
 
 
+def is_pgm_number(token):
+    """A PGM number is 1 to 320 ASCII digits, whatever int()'s own digit limit is."""
+    return 1 <= len(token) <= 320 and all(ord("0") <= byte <= ord("9") for byte in token)
+
+
 def brute_read_p2(raster, count):
     """Reference P2 raster parse: the first count samples as ints, or the error's class name.
 
@@ -151,12 +156,9 @@ def brute_read_p2(raster, count):
             kept.append(byte)
     samples = []
     for token in bytes(kept).split()[:count]:
-        if not token.isdigit():
+        if not is_pgm_number(token):
             return "MalformedHeader"
-        try:
-            samples.append(int(token))
-        except ValueError:  # more digits than int() converts
-            return "MalformedHeader"
+        samples.append(int(token))
     if len(samples) < count:
         return "TruncatedData"
     return samples
@@ -170,12 +172,9 @@ def brute_read_pgm(data, max_pixels):
     (magic, *fields), pos = header
     numbers = []
     for field in fields:
-        if not field.isdigit():
+        if not is_pgm_number(field):
             return "MalformedHeader"
-        try:
-            numbers.append(int(field))
-        except ValueError:  # more digits than int() converts
-            return "MalformedHeader"
+        numbers.append(int(field))
     width, height, maxval = numbers
     if width < 1 or height < 1:
         return "MalformedHeader"

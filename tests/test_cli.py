@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from oracles import pack_container
 from stegrle import carrier
 from stegrle.carrier import synthetic_carrier
 from stegrle.cli import IO_ERROR_EXIT, main
-from stegrle.errors import StegRleError
+from stegrle.errors import MalformedHeader, PixelBudgetExceeded, StegRleError
 from stegrle.image import Rect, load_pgm, read_pgm, save_pgm, write_pgm
 from stegrle.rle import deserialize, rle_decode, rle_encode, serialize
 from stegrle.stego import embed, embedding_sites, extract
@@ -453,12 +454,87 @@ def test_roi_argument_validation(capsys, carrier_pgm, tmp_path):
 
 
 def test_integer_options_take_ascii_digits_only(tmp_path):
-    for option, value in (
-        ("--width", "1_0"), ("--width", "\u0661\u0660"), ("--width", "+10"), ("--width", "0"),
-    ):
+    for option, value in (("--width", "1_0"), ("--width", "\u0661\u0660"), ("--width", "+10")):
         with pytest.raises(SystemExit) as exit_info:
             main(["gen-carrier", "--out", str(tmp_path / "c.pgm"), option, value])
         assert exit_info.value.code == 2
+
+
+def test_gen_carrier_leaves_the_size_rule_to_synthetic_carrier(tmp_path, capsys):
+    status, out, err = run(capsys, "gen-carrier", "--out", tmp_path / "c.pgm", "--width", "0")
+    assert (status, out) == (2, "")
+    assert err == "error: ValueError: dimensions must be at least 1x1, got 0x256\n"
+    assert os.listdir(tmp_path) == []
+
+
+# --- one outcome under every int() digit limit ---
+
+@pytest.fixture(params=[0, 640, "default"])
+def int_digit_limit(request):
+    """Set int()'s digit limit (0: none) for one test, then restore the one before it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int() digit limit")
+    before = sys.get_int_max_str_digits()
+    limit = request.param
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits if limit == "default" else limit)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+WIDE_PGM = b"P5 %s %s 255\n\x00" % (b"9" * 2200, b"9" * 2200)  # a 4.4 KB header
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (WIDE_PGM, MalformedHeader),
+        (b"P5 %s %s 255\n\x00" % (b"9" * 320, b"9" * 320), PixelBudgetExceeded),
+        (b"P5 %s 1 255\n\x00" % (b"0" * 320 + b"1"), MalformedHeader),  # 1, in 321 digits
+        (b"P2 1 1 255 " + b"0" * 317 + b"255", [[255]]),
+        (b"P2 1 1 255 " + b"0" * 318 + b"255", MalformedHeader),
+    ],
+    ids=[
+        "2200-digit-sides",
+        "320-digit-sides",
+        "321-digit-width",
+        "320-digit-sample",
+        "321-digit-sample",
+    ],
+)
+def test_read_pgm_gives_one_outcome_under_every_digit_limit(int_digit_limit, data, expected):
+    if isinstance(expected, list):
+        assert read_pgm(data).tolist() == expected
+    else:
+        with pytest.raises(expected):
+            read_pgm(data)
+
+
+def test_read_pgm_refuses_a_2_mb_digit_run_quickly_under_every_digit_limit(int_digit_limit):
+    start = time.perf_counter()
+    with pytest.raises(MalformedHeader, match="pixel is not a number"):
+        read_pgm(b"P2 1 1 255 " + b"1" * 2_000_000)
+    assert time.perf_counter() - start < 1  # int() with no digit limit takes tens of seconds
+
+
+def test_compress_names_a_long_number_under_every_digit_limit(int_digit_limit, tmp_path, capsys):
+    wide = tmp_path / "wide.pgm"
+    wide.write_bytes(WIDE_PGM)
+    status, out, err = run(capsys, "compress", "--in", wide, "--out", tmp_path / "c.srle")
+    assert (status, out) == (10, "")
+    assert err.startswith("error: MalformedHeader: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["wide.pgm"]
+
+
+@pytest.mark.parametrize("digits, code", [(320, 13), (321, 2)])  # RectOutOfBounds, usage error
+def test_roi_of_over_320_digits_is_a_usage_error_under_every_digit_limit(
+    int_digit_limit, capsys, carrier_pgm, tmp_path, digits, code
+):
+    argv = ["embed", "--in", carrier_pgm, "--out", tmp_path / "s.pgm", "--message", "x"]
+    try:
+        status = run(capsys, *argv, "--roi", "1,1,5," + "9" * digits)[0]
+    except SystemExit as exc:
+        status = exc.code
+    assert status == code
 
 
 # --- documentation ---
@@ -517,12 +593,21 @@ VALUE_ERRORS_ALLOWED: list[str] = []
 @st.composite
 def cli_inputs(draw, kind=PGM_INPUTS):
     """Mostly a file of the kind the command reads, else any; half the time mutated by byte
-    flips, a truncation or a splice."""
+    flips, a truncation, a splice or, in a PGM, header numbers of hundreds of digits."""
     data = draw(st.sampled_from(kind if draw(st.integers(0, 3)) else PGM_INPUTS + SRLE_INPUTS))
     if draw(st.booleans()):
         return data
-    mutation = draw(st.sampled_from(["flips", "truncation", "splice"]))
-    if mutation == "flips":
+    header = re.match(rb"P[25]\s+(\d+)\s+(\d+)\s+(\d+)", data)
+    mutation = draw(st.sampled_from(["flips", "truncation", "splice"] + ["numbers"] * bool(header)))
+    if mutation == "numbers":  # width, height and maybe maxval of 300 to 5,000 digits
+        # around the bound of 320 digits, and int()'s default limit for one number or two
+        size = draw(st.sampled_from([320, 321, 2150, 2151, 4300, 4301]) | st.integers(300, 5000))
+        padded = draw(st.booleans())  # zero-padded, so a size up to 320 leaves the file valid
+        for field in (3, 2, 1) if draw(st.booleans()) else (2, 1):  # the last first: spans hold
+            number = header[field]
+            digits = b"0" * (size - len(number)) + number if padded else b"9" * size
+            data = data[: header.start(field)] + digits + data[header.end(field) :]
+    elif mutation == "flips":
         data = bytearray(data)
         for _ in range(draw(st.integers(1, 4))):
             data[draw(st.sampled_from(range(len(data))))] ^= draw(st.integers(1, 255))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -362,9 +362,15 @@ def test_deserialize_rejects_junk_with_declared_errors_only(data):
 
 @settings(max_examples=150)
 @given(st.integers(0, 21), st.integers(0, 255))
+@example(position=8, value=1)  # 2**24 + 256 wide: over the budget, and its one run too short
 def test_deserialize_survives_single_byte_corruption(position, value):
     data = bytearray(serialize(rle_encode(np.zeros((256, 256), dtype=np.uint8))))
     data[position] = value
+    width, height = (int.from_bytes(data[offset : offset + 4], "little") for offset in (5, 9))
+    if width >= 1 and height >= 1 and width * height > MAX_PIXELS:
+        with pytest.raises(PixelBudgetExceeded):
+            deserialize(bytes(data))
+        return
     try:
         stream = deserialize(bytes(data))
         assert int(stream.lengths.sum()) == stream.width * stream.height
