@@ -6,8 +6,9 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 echo "working in $work"
 
-echo; echo "# 1. make a synthetic carrier"
-stegrle gen-carrier --out "$work/carrier.pgm"
+echo; echo "# 1. make a synthetic carrier with the library"
+python3 -c 'import sys, stegrle; stegrle.save_pgm(sys.argv[1], stegrle.synthetic_carrier())' \
+    "$work/carrier.pgm"
 
 echo; echo "# 2. hide a message near the top-left corner"
 stegrle embed --in "$work/carrier.pgm" --out "$work/stego.pgm" \

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands cover the full workflow: ``gen-carrier`` makes a synthetic test
-image, ``embed`` hides a message, ``compress``/``decompress`` move between
-PGM and the SRLE container, ``extract`` recovers message and image,
-``metrics`` compares two images, and ``pipeline`` runs everything
-in-process with timing and quality reports.
+Subcommands cover the paper's workflow: ``embed`` hides a message,
+``compress``/``decompress`` move between PGM and the SRLE container,
+``extract`` recovers message and image, ``metrics`` compares two images, and
+``pipeline`` runs everything in-process with timing and quality reports.
+A test carrier is ``save_pgm(path, synthetic_carrier(width, height))``.
 
 Failures print one machine-readable line to stderr, ``error: <Name>: ...``,
 and exit with a status specific to the error family (see errors.py); 3 is
@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from .carrier import synthetic_carrier
 from .errors import EmptyMessage, NonLatinCharacter, StegRleError
 from .image import Rect, load_pgm, pgm_header, save_pgm, write_file
 from .metrics import compare
@@ -72,12 +71,6 @@ def _fmt_float(value: float, spec: str) -> str:
 def _fmt_metric(value: float) -> str:
     """Render a metric the way the quality table does: 0, Infinity, or 4 decimals."""
     return "0" if value == 0 else _fmt_float(value, ".4f")
-
-
-def cmd_gen_carrier(args: argparse.Namespace) -> int:
-    save_pgm(args.out, synthetic_carrier(args.width, args.height))
-    print(f"wrote {args.out} ({args.width}x{args.height})")
-    return 0
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
@@ -188,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and compress the result losslessly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-carrier", help="write a synthetic test carrier")
-    p.add_argument("--out", required=True, help="output PGM path")
-    p.add_argument("--width", type=_decimal, default=256)
-    p.add_argument("--height", type=_decimal, default=256)
-    p.set_defaults(func=cmd_gen_carrier)
 
     p = sub.add_parser("embed", help="hide a message in a carrier image")
     p.add_argument("--in", dest="infile", required=True, help="carrier PGM")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -93,10 +94,22 @@ def check_rect(img: np.ndarray, roi: Rect) -> None:
         raise RectOutOfBounds(f"y1={roi.y1} outside image of height {height}")
 
 
+def shown(value) -> str:
+    """A value as a refusal prints it: an integer in decimal, anything else by repr().
+
+    str() refuses an int of more digits than int()'s limit, which may be set as low as 640,
+    so an int of over 640 digits is shown by its bit length.
+    """
+    if isinstance(value, int) and not -(10**640) < value < 10**640:
+        return f"<{value.bit_length()}-bit int>"
+    return str(value) if isinstance(value, (int, np.integer)) else repr(value)
+
+
 def check_pixels(width: int, height: int) -> int:
     """Return width*height; a PGM or SRLE header may declare at most MAX_PIXELS pixels."""
     if (pixels := int(width) * int(height)) > MAX_PIXELS:  # numpy ints would wrap
-        raise PixelBudgetExceeded(f"{width}x{height} image has {pixels} pixels, over {MAX_PIXELS}")
+        size = f"{shown(width)}x{shown(height)} image has {shown(pixels)} pixels"
+        raise PixelBudgetExceeded(f"{size}, over {MAX_PIXELS}")
     return pixels
 
 
@@ -150,9 +163,10 @@ def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         run = is_digit[:stop] & is_digit[1 : stop + 1] & is_digit[2 : stop + 2]
         # a byte neither digit nor whitespace, or a sample of four or more digits
         if cls[3 : stop + 3].max() > _SPACE or (run & is_digit[3 : stop + 3]).any():
-            tokens = data[raster:].split(None, count)[:count]
+            # streamed: a list of every token would hold one bytes object, about 50 B, per sample
+            tokens = islice(re.compile(rb"\S+").finditer(data, raster), count)
             # clamped to 256: any sample above 255 fails the maxval check the same
-            samples = np.array([min(_header_int(t, "pixel"), 256) for t in tokens], dtype=np.uint16)
+            samples = np.fromiter((min(_header_int(t[0], "pixel"), 256) for t in tokens), np.uint16)
             filled = samples.size
             break
         digits = np.multiply(cls, is_digit, dtype=np.uint8)  # whitespace reads as 0

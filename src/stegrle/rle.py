@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadMagic, LengthMismatch, TrailingGarbage, Truncated, UnsupportedVersion
-from .image import as_gray, check_pixels, check_values
+from .image import as_gray, check_pixels, check_values, shown
 
 MAGIC = b"SRLE"
 VERSION = 1
@@ -42,7 +42,7 @@ class RunLengthStream:
     def __post_init__(self) -> None:
         """Apply rules 6 to 8 of docs/srle-format.md, equal vector sizes and 0..255 values."""
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (self.width, self.height)):
-            raise LengthMismatch(f"invalid dimensions {self.width!r}x{self.height!r}")
+            raise LengthMismatch(f"invalid dimensions {shown(self.width)}x{shown(self.height)}")
         pixels = check_pixels(self.width, self.height)
         lengths = np.asarray(self.lengths)
         if lengths.size and not np.issubdtype(lengths.dtype, np.integer):  # [] is float64

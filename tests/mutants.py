@@ -48,10 +48,7 @@ MUTANTS = [
         "carrier.py",
         "if width < 1 or height < 1:",
         "if False:",
-        (
-            "test_cli.py::test_gen_carrier_leaves_the_size_rule_to_synthetic_carrier",
-            "test_stego.py::test_synthetic_carrier_refuses_an_empty_geometry",
-        ),
+        ("test_stego.py::test_synthetic_carrier_refuses_an_empty_geometry",),
         "One owner per rule:",
     ),
     Mutant(
@@ -77,7 +74,7 @@ MUTANTS = [
     ),
     Mutant(
         "rle.py",
-        "{self.width!r}x{self.height!r}",
+        "{shown(self.width)}x{shown(self.height)}",
         "{self.width}x{self.height}",
         ("test_rle.py::test_numpy_dimensions_are_multiplied_as_python_ints",),
         "MENDED: `src/stegrle/rle.py` `RunLengthStream` formats its dimension refusal",
@@ -102,5 +99,19 @@ MUTANTS = [
         'len(head.lstrip(b"0123456789"))',
         ("test_image.py::test_read_p2_refuses_junk_glued_to_its_last_sample_at_a_block_edge",),
         "The P2 reader's numpy blocks now end where a sample ends",
+    ),
+    Mutant(
+        "image.py",
+        "-(10**640) < value < 10**640",
+        "True",
+        ("test_cli.py::test_a_5001_digit_dimension_is_refused_by_name_under_every_digit_limit",),
+        "MENDED: `src/stegrle/image.py` `check_pixels` formats `{width}x{height}`",
+    ),
+    Mutant(
+        "image.py",
+        r're.compile(rb"\S+").finditer(data, raster)',
+        "[[token] for token in data[raster:].split()]",
+        ("test_image.py::test_read_p2_token_by_token_peak_memory_per_pixel",),
+        "The P2 reader's token-by-token path streams its tokens",
     ),
 ]

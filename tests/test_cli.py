@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pack_container
-from stegrle import carrier
 from stegrle.carrier import synthetic_carrier
 from stegrle.cli import IO_ERROR_EXIT, main
-from stegrle.errors import MalformedHeader, PixelBudgetExceeded, StegRleError
+from stegrle.errors import LengthMismatch, MalformedHeader, PixelBudgetExceeded, StegRleError
 from stegrle.image import Rect, load_pgm, read_pgm, save_pgm, write_pgm
-from stegrle.rle import deserialize, rle_decode, rle_encode, serialize
+from stegrle.rle import RunLengthStream, deserialize, rle_decode, rle_encode, serialize
 from stegrle.stego import embed, embedding_sites, extract
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,7 +34,7 @@ def zero_pgm(tmp_path):
 @pytest.fixture
 def carrier_pgm(tmp_path):
     path = tmp_path / "carrier.pgm"
-    assert main(["gen-carrier", "--out", str(path)]) == 0
+    save_pgm(path, synthetic_carrier())
     return path
 
 
@@ -43,28 +42,6 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-# --- gen-carrier ---
-
-def test_gen_carrier_writes_valid_pgm(tmp_path, capsys):
-    path = tmp_path / "c.pgm"
-    code, out, _ = run(capsys, "gen-carrier", "--out", path, "--width", 64, "--height", 48)
-    assert code == 0
-    assert "64x48" in out
-    img = load_pgm(path)
-    assert img.shape == (48, 64)
-    assert img.any()
-
-
-def test_gen_carrier_pixel_budget_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(carrier, "np", None)  # the refusal must come before any numpy call
-    code, _, err = run(
-        capsys, "gen-carrier", "--out", tmp_path / "c.pgm", "--width", 16385, "--height", 16384
-    )
-    assert code == 25
-    assert "error: PixelBudgetExceeded" in err
-    assert list(tmp_path.iterdir()) == []
 
 
 # --- embed / extract ---
@@ -131,10 +108,13 @@ def test_output_the_terminal_cannot_encode_prints_as_escapes(tmp_path, capsys, c
         capsys, "embed", "--in", carrier_pgm, "--out", stego,
         "--roi", "1,1,60,60", "--message", "café",
     )[0] == 0
+    container = tmp_path / "s.srle"
+    container.write_bytes(serialize(rle_encode(load_pgm(stego))))
+    decoded = tmp_path / "café.pgm"
     env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": str(SRC)}
     for argv, printed, written in (
         (["extract", "--in", stego, "--out", tmp_path / "r.pgm"], "message: caf\\xe9", "r.pgm"),
-        (["gen-carrier", "--out", tmp_path / "café.pgm"], "caf\\xe9.pgm (256x256)", "café.pgm"),
+        (["decompress", "--in", container, "--out", decoded], "caf\\xe9.pgm", "café.pgm"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "stegrle.cli", *map(str, argv)],
@@ -249,7 +229,6 @@ PAPER_CSV = (
 
 def test_pipeline_report_layout_is_pinned(tmp_path, capsys, carrier_pgm):
     # the paper case; only the seconds cells of the timing rows are masked
-    capsys.readouterr()  # drop what the carrier fixture printed
     csv_path = tmp_path / "report.csv"
     code, out, err = run(
         capsys, "pipeline", "--in", carrier_pgm, "--roi", "1,1,60,60",
@@ -266,7 +245,6 @@ def test_pipeline_report_layout_is_pinned(tmp_path, capsys, carrier_pgm):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gen-carrier", "--out", "{out}"],
         ["embed", "--in", "{carrier}", "--out", "{out}", "--roi", "1,1,60,60", "--message", "hi"],
         ["compress", "--in", "{carrier}", "--out", "{out}"],
         ["decompress", "--in", "{container}", "--out", "{out}"],
@@ -433,7 +411,6 @@ def test_refusal_prints_one_error_line_and_leaves_no_file(
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     before = sorted(os.listdir(tmp_path))
-    capsys.readouterr()  # drop what the carrier fixture printed
     paths = {name: tmp_path / name for name in (*files, "out", "nope")}
     status, out, err = run(capsys, *(arg.format(carrier=carrier_pgm, **paths) for arg in argv))
     assert (status, out) == (code, "")
@@ -453,18 +430,15 @@ def test_roi_argument_validation(capsys, carrier_pgm, tmp_path):
         assert exit_info.value.code == 2
 
 
-def test_integer_options_take_ascii_digits_only(tmp_path):
-    for option, value in (("--width", "1_0"), ("--width", "\u0661\u0660"), ("--width", "+10")):
+def test_integer_options_take_ascii_digits_only(tmp_path, carrier_pgm):
+    for part in ("1_0", "\u0661\u0660", "+10"):
         with pytest.raises(SystemExit) as exit_info:
-            main(["gen-carrier", "--out", str(tmp_path / "c.pgm"), option, value])
+            main([
+                "embed", "--in", str(carrier_pgm), "--out", str(tmp_path / "s.pgm"),
+                "--roi", f"1,1,{part},60", "--message", "x",
+            ])
         assert exit_info.value.code == 2
-
-
-def test_gen_carrier_leaves_the_size_rule_to_synthetic_carrier(tmp_path, capsys):
-    status, out, err = run(capsys, "gen-carrier", "--out", tmp_path / "c.pgm", "--width", "0")
-    assert (status, out) == (2, "")
-    assert err == "error: ValueError: dimensions must be at least 1x1, got 0x256\n"
-    assert os.listdir(tmp_path) == []
+    assert sorted(os.listdir(tmp_path)) == ["carrier.pgm"]
 
 
 # --- one outcome under every int() digit limit ---
@@ -523,6 +497,23 @@ def test_compress_names_a_long_number_under_every_digit_limit(int_digit_limit, t
     assert (status, out) == (10, "")
     assert err.startswith("error: MalformedHeader: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == ["wide.pgm"]
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: synthetic_carrier(10**5000, 1), PixelBudgetExceeded),
+        (lambda: RunLengthStream(10**5000, 1, [0], [1]), PixelBudgetExceeded),
+        (lambda: RunLengthStream(-(10**5000), 1, [0], [1]), LengthMismatch),
+    ],
+    ids=["carrier", "stream", "negative-stream"],
+)
+def test_a_5001_digit_dimension_is_refused_by_name_under_every_digit_limit(
+    int_digit_limit, make, expected
+):
+    # the refusal prints the dimension by its bit length: str() of it fails at 4,300 digits
+    with pytest.raises(expected, match="<16610-bit int>x1"):
+        make()
 
 
 @pytest.mark.parametrize("digits, code", [(320, 13), (321, 2)])  # RectOutOfBounds, usage error

@@ -353,10 +353,12 @@ def test_read_p2_allocates_for_its_text_not_its_header():
     assert peak < 2**20
 
 
-def test_read_p2_peak_memory_per_pixel():
+def noise_p2_peak_per_pixel(lead):
+    """The tracemalloc peak, per pixel, of reading a 1024x1024 noise P2 with lead before its
+    first sample."""
     img = np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8)
     rows = (b" ".join(b"%d" % v for v in row) for row in img.tolist())
-    data = b"P2 1024 1024 255\n" + b"\n".join(rows)
+    data = b"P2 1024 1024 255\n" + lead + b"\n".join(rows)
     read_pgm(data)  # numpy's one-time set-up is not the reader's
     tracemalloc.start()
     try:
@@ -365,7 +367,17 @@ def test_read_p2_peak_memory_per_pixel():
     finally:
         tracemalloc.stop()
     assert np.array_equal(decoded, img)
-    assert peak <= 7 * img.size  # 2 B of uint16 samples, 1 B of image, the blocks' arrays
+    return peak / img.size
+
+
+def test_read_p2_peak_memory_per_pixel():
+    # 2 B of uint16 samples, 1 B of image, the blocks' arrays
+    assert noise_p2_peak_per_pixel(b"") <= 7
+
+
+def test_read_p2_token_by_token_peak_memory_per_pixel():
+    # one zero-padded sample sends every sample through _header_int; a list of tokens took 55 B
+    assert noise_p2_peak_per_pixel(b"000") <= 7
 
 
 @settings(max_examples=300)

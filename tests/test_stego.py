@@ -213,6 +213,7 @@ def test_synthetic_carrier_is_clean_for_every_geometry():
     for width in range(1, 61):
         for height in range(1, 61):
             img = synthetic_carrier(width, height)
+            assert img.shape == (height, width) and img.any()
             assert validate_carrier(img) == []
             assert extract(img)[0] == b""
 
