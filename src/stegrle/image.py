@@ -11,10 +11,9 @@ accepts binary P5 and ASCII P2 with ``#`` comments in the header (and
 between P2 samples), but, as the Netpbm spec asks, only decimal digits for
 numbers, no sample above maxval and, as in SRLE, at most ``MAX_PIXELS``
 pixels. A number has 1 to 320 digits, so it and the pixel count a refusal
-prints convert under any ``int()`` digit limit. A P2 raster of one- to
-three-digit samples between whitespace is parsed with numpy up to its last
-sample, in blocks of about ``_BLOCK`` bytes that each end where a sample
-ends; any other raster goes token by token, so the first bad token is named.
+prints convert under any ``int()`` digit limit. P2 samples are parsed with
+numpy in blocks of about ``_BLOCK`` bytes that each end where a sample ends,
+and only a block with a bad token goes token by token, to name the first.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -132,24 +130,25 @@ def _header_int(token: bytes, name: str) -> int:
 def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     """The first count samples of the P2 raster at data[pos:], refusing the first bad one.
 
-    Plain samples, one to three digits between whitespace, are parsed in numpy
-    blocks up to the byte after the last sample. Each byte maps to its digit or
-    to _SPACE; a sample's value is taken at its last byte from that digit and
-    the two before it, each counted while the bytes between are digits. A block
-    with a sample that is not plain sends the raster token by token through
-    _header_int, which names the first token it refuses in file order.
+    The raster is parsed in numpy blocks up to the byte after the last sample.
+    Each byte maps to its digit or to _SPACE; a sample's value is taken at its
+    last byte from that digit and the two before it, each counted while the
+    bytes between are digits. A nonzero digit before those three makes it 1000
+    or more, above any maxval. A block with a byte that is neither digit nor
+    whitespace, or with a sample of over 320 digits, is walked token by token
+    from its start through _header_int, which names the first token it refuses.
     """
     if data.find(b"#", pos) >= 0:
         data, pos = _COMMENT.sub(b"", data[pos:]), 0
     # each sample takes a digit and a separator, so text, not the header, sizes this
     samples = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint16)
     # a block and the 3 separators before it and 1 after: no sample runs into or out of it
-    window = np.full(min(len(data) - pos, _BLOCK + 4) + 4, _SPACE, dtype=np.uint8)
-    filled, raster = 0, pos
+    window = np.full(min(len(data) - pos, _BLOCK + 321) + 4, _SPACE, dtype=np.uint8)
+    filled = 0
     while filled < count and pos < len(data):
-        # run on through up to 3 digits and the byte after them, so the block ends where a
-        # sample ends and needs no byte of the one before; a 4th digit makes it not plain
-        head = data[pos + _BLOCK : pos + _BLOCK + 3]
+        # run on through up to 320 digits and the byte after them, so the block ends where a
+        # sample ends and needs no byte of the one before; a 321st digit makes it too long
+        head = data[pos + _BLOCK : pos + _BLOCK + 320]
         end = min(pos + _BLOCK + len(head) - len(head.lstrip(b"0123456789")) + 1, len(data))
         block = end - pos
         cls = window[: block + 4]
@@ -160,15 +159,14 @@ def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         ends = np.flatnonzero(np.greater(is_digit[3:-1], is_digit[4:]))[: count - filled]
         # check the block through the byte after the last sample it must give
         stop = int(ends[-1]) + 2 if ends.size == count - filled else block + 1
+        # indices into cls of the digits with three digits after them: the early digits
         run = is_digit[:stop] & is_digit[1 : stop + 1] & is_digit[2 : stop + 2]
-        # a byte neither digit nor whitespace, or a sample of four or more digits
-        if cls[3 : stop + 3].max() > _SPACE or (run & is_digit[3 : stop + 3]).any():
-            # streamed: a list of every token would hold one bytes object, about 50 B, per sample
-            tokens = islice(re.compile(rb"\S+").finditer(data, raster), count)
-            # clamped to 256: any sample above 255 fails the maxval check the same
-            samples = np.fromiter((min(_header_int(t[0], "pixel"), 256) for t in tokens), np.uint16)
-            filled = samples.size
-            break
+        early = np.flatnonzero(run & is_digit[3 : stop + 3])
+        # a byte neither digit nor whitespace, or a sample of over 320 digits: 318 early in a row
+        too_long = early.size > 317 and (early[317:] - early[:-317] == 317).any()
+        if cls[3 : stop + 3].max() > _SPACE or too_long:
+            for token in re.compile(rb"\S+").finditer(data, pos):  # one of them is refused
+                _header_int(token[0], "pixel")
         digits = np.multiply(cls, is_digit, dtype=np.uint8)  # whitespace reads as 0
         value = np.multiply(digits[1 : block + 1], is_digit[2 : block + 2], dtype=np.uint16)
         value *= np.uint16(10)
@@ -177,6 +175,8 @@ def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         value += digits[3 : block + 3]
         taken = samples[filled : filled + ends.size]
         np.take(value, ends, out=taken, mode="clip")  # "raise" would buffer out; ends fit value
+        if early.size:  # a nonzero early digit makes its sample 1000 or more, above any maxval
+            taken[np.searchsorted(ends, early[cls[early] > 0] - 3)] = 1000
         filled += taken.size
         pos = end
     if filled < count:

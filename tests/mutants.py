@@ -88,9 +88,9 @@ MUTANTS = [
     ),
     Mutant(
         "image.py",
-        "data[pos + _BLOCK : pos + _BLOCK + 3]",
-        "data[pos + _BLOCK : pos + _BLOCK + 2]",
-        ("test_image.py::test_read_p2_sends_a_long_sample_at_a_block_edge_token_by_token",),
+        "data[pos + _BLOCK : pos + _BLOCK + 320]",
+        "data[pos + _BLOCK : pos + _BLOCK + 319]",
+        ("test_image.py::test_read_p2_runs_a_block_on_through_a_320_digit_sample",),
         "The P2 reader's numpy blocks now end where a sample ends",
     ),
     Mutant(
@@ -109,9 +109,31 @@ MUTANTS = [
     ),
     Mutant(
         "image.py",
-        r're.compile(rb"\S+").finditer(data, raster)',
-        "[[token] for token in data[raster:].split()]",
-        ("test_image.py::test_read_p2_token_by_token_peak_memory_per_pixel",),
-        "The P2 reader's token-by-token path streams its tokens",
+        "early[cls[early] > 0]",
+        "early[cls[early] > 9]",
+        ("test_image.py::test_read_p2_sends_a_long_sample_in_a_later_block_token_by_token",),
+        "One P2 path:",
+    ),
+    Mutant(
+        "stego.py",
+        "int(np.count_nonzero(hidden))",
+        "len(validate_carrier(img))",
+        ("test_stego.py::test_embed_refuses_a_checkerboard_without_listing_its_sites",),
+        "`embed`'s `AmbiguousCarrier` takes its count from `np.count_nonzero`",
+    ),
+    Mutant(
+        "cli.py",
+        "quality = None if args.verify is None else compare(load_pgm(args.verify), restored)",
+        "save_pgm(args.out, restored); quality = None if args.verify is None else compare("
+        "load_pgm(args.verify), restored)",
+        ("test_cli.py::test_refusal_prints_one_error_line_and_leaves_no_file",),
+        "`cmd_extract` loads and compares the `--verify` image before it writes `--out`",
+    ),
+    Mutant(
+        "rle.py",
+        "(longest := int(lengths.max()))",
+        "(longest := int(lengths.astype(np.int64).max()))",
+        ("test_rle.py::test_decode_length_mismatch",),
+        "`RunLengthStream.__post_init__` checks run lengths as given, before the int64 cast",
     ),
 ]

@@ -1,6 +1,8 @@
 import os
 import re
+import timeit
 import tracemalloc
+from functools import partial
 from itertools import cycle
 from unittest import mock
 
@@ -116,7 +118,6 @@ def test_read_refuses_a_header_over_the_pixel_budget(magic):
 
 
 def test_read_p2_over_the_budget_with_junk_after_its_sample():
-    # text.split(None, count) cannot take a count this large: it must never be reached
     with pytest.raises(PixelBudgetExceeded):
         read_pgm(b"P2 100000000000000000000 1 255 1 x")
 
@@ -172,6 +173,10 @@ p2_odd_tokens = st.one_of(
     st.integers(0, 999).map(lambda n: str(n).encode()),
     st.sampled_from([b"x", b"+1", b"-0", b"1_0", b"2a", b"\xd9\xa1", b"\x85", b"\x1c"]),
     st.sampled_from([b"0" * 4, b"0" * 20, b"0" * 4301, b"1" * 4301, b"9" * 20]),
+    # a valid last three digits after a nonzero digit, and zero padding to 320 and 321 digits
+    st.sampled_from(
+        [b"1000", b"01255", b"1" + b"0" * 316 + b"255", b"0" * 317 + b"255", b"0" * 318 + b"255"]
+    ),
     st.tuples(st.sampled_from([1, 2, 636, 637, 638, 700]), st.integers(0, 999)).map(
         lambda t: b"0" * t[0] + str(t[1]).encode()  # zero padding, either side of 640 bytes
     ),
@@ -277,7 +282,7 @@ def test_read_p2_takes_all_six_whitespace_bytes_in_any_block():
         assert tokens_read == 0
 
 
-def check_a_long_sample_goes_token_by_token(token, last):
+def check_a_long_sample_is_read_in_numpy(token, last):
     data, raster = p2_with_sample_ending_at(last, token)
     expected = brute_read_p2(raster, len(raster.split()))
     if max(expected) > 255:
@@ -286,19 +291,34 @@ def check_a_long_sample_goes_token_by_token(token, last):
         return
     img, tokens_read = read_p2_counting_tokens(data)
     assert img.ravel().tolist() == expected
-    assert tokens_read == img.size
+    assert tokens_read == 0
 
 
 @pytest.mark.parametrize("token", [b"0007", b"00255", b"1234"])
 def test_read_p2_sends_a_long_sample_in_a_later_block_token_by_token(token):
-    check_a_long_sample_goes_token_by_token(token, 3 * image._BLOCK + 10)
+    check_a_long_sample_is_read_in_numpy(token, 3 * image._BLOCK + 10)
 
 
 @pytest.mark.parametrize("edge", range(-4, 5))
 @pytest.mark.parametrize("token", [b"0007", b"00255", b"1234"])
 def test_read_p2_sends_a_long_sample_at_a_block_edge_token_by_token(token, edge):
-    # a block runs on past its edge through a sample's digits; three would read 0007 as 000, 7
-    check_a_long_sample_goes_token_by_token(token, image._BLOCK + edge)
+    # a block runs on past its edge to the end of the sample there, never splitting 0007
+    check_a_long_sample_is_read_in_numpy(token, image._BLOCK + edge)
+
+
+@pytest.mark.parametrize("edge", range(-2, 3))
+@pytest.mark.parametrize("zeros", [317, 318])
+def test_read_p2_runs_a_block_on_through_a_320_digit_sample(zeros, edge):
+    # edge 0 starts the sample at the block's nominal end; 321 digits must be refused whole
+    token = b"0" * zeros + b"255"
+    data, raster = p2_with_sample_ending_at(image._BLOCK + len(token) - 1 + edge, token)
+    if len(token) > 320:
+        with pytest.raises(MalformedHeader, match=re.escape(repr(token))):
+            read_pgm(data)
+        return
+    img, tokens_read = read_p2_counting_tokens(data)
+    assert img.ravel().tolist() == brute_read_p2(raster, img.size)
+    assert tokens_read == 0
 
 
 @pytest.mark.parametrize("edge", range(-2, 3))
@@ -353,12 +373,16 @@ def test_read_p2_allocates_for_its_text_not_its_header():
     assert peak < 2**20
 
 
-def noise_p2_peak_per_pixel(lead):
-    """The tracemalloc peak, per pixel, of reading a 1024x1024 noise P2 with lead before its
-    first sample."""
+def noise_p2(lead):
+    """A 1024x1024 noise image and its P2 file, with lead before the first sample."""
     img = np.random.default_rng(3).integers(0, 256, (1024, 1024), dtype=np.uint8)
     rows = (b" ".join(b"%d" % v for v in row) for row in img.tolist())
-    data = b"P2 1024 1024 255\n" + lead + b"\n".join(rows)
+    return img, b"P2 1024 1024 255\n" + lead + b"\n".join(rows)
+
+
+def noise_p2_peak_per_pixel(lead):
+    """The tracemalloc peak, per pixel, of reading noise_p2(lead)."""
+    img, data = noise_p2(lead)
     read_pgm(data)  # numpy's one-time set-up is not the reader's
     tracemalloc.start()
     try:
@@ -375,9 +399,18 @@ def test_read_p2_peak_memory_per_pixel():
     assert noise_p2_peak_per_pixel(b"") <= 7
 
 
-def test_read_p2_token_by_token_peak_memory_per_pixel():
-    # one zero-padded sample sends every sample through _header_int; a list of tokens took 55 B
-    assert noise_p2_peak_per_pixel(b"000") <= 7
+def test_read_p2_zero_padded_peak_memory_per_pixel():
+    # a zero-padded sample is read in the same numpy blocks as the plain ones
+    assert noise_p2_peak_per_pixel(b"000") <= 3.5
+
+
+def test_read_p2_zero_padded_takes_as_long_as_plain():
+    # one zero-padded sample must not send the raster token by token from its first byte
+    plain, padded = (
+        min(timeit.repeat(partial(read_pgm, noise_p2(lead)[1]), number=1, repeat=3))
+        for lead in (b"", b"000")
+    )
+    assert padded < 2 * plain
 
 
 @settings(max_examples=300)
