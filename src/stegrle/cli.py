@@ -18,6 +18,7 @@ import csv
 import io
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -49,8 +50,7 @@ def _roi_arg(text: str) -> Rect:
 
 def _message_from_args(args: argparse.Namespace) -> bytes:
     if args.message_file is not None:
-        with open(args.message_file, "rb") as fh:
-            raw = fh.read()
+        raw = Path(args.message_file).read_bytes()
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -101,9 +101,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 
 def cmd_decompress(args: argparse.Namespace) -> int:
-    with open(args.infile, "rb") as fh:
-        container = fh.read()
-    save_pgm(args.out, rle_decode(deserialize(container)))
+    # no name holds the file's bytes, so they are freed once deserialize has parsed them
+    save_pgm(args.out, rle_decode(deserialize(Path(args.infile).read_bytes())))
     print(f"wrote {args.out}")
     return 0
 

@@ -165,8 +165,8 @@ def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         # a byte neither digit nor whitespace, or a sample of over 320 digits: 318 early in a row
         too_long = early.size > 317 and (early[317:] - early[:-317] == 317).any()
         if cls[3 : stop + 3].max() > _SPACE or too_long:
-            for token in re.compile(rb"\S+").finditer(data, pos):  # one of them is refused
-                _header_int(token[0], "pixel")
+            for token in _TOKEN.finditer(data, pos):  # one of them is refused
+                _header_int(token[1], "pixel")
         digits = np.multiply(cls, is_digit, dtype=np.uint8)  # whitespace reads as 0
         value = np.multiply(digits[1 : block + 1], is_digit[2 : block + 2], dtype=np.uint16)
         value *= np.uint16(10)
@@ -207,10 +207,9 @@ def read_pgm(data: bytes) -> np.ndarray:
         # a single whitespace byte separates the header from the raster
         if pos >= len(data) or data[pos] not in _WHITESPACE:
             raise MalformedHeader("missing delimiter before binary raster")
-        raster = data[pos + 1 : pos + 1 + count]
-        if len(raster) < count:
-            raise TruncatedData(f"expected {count} pixel bytes, found {len(raster)}")
-        samples = np.frombuffer(raster, dtype=np.uint8, count=count)
+        if (found := len(data) - pos - 1) < count:
+            raise TruncatedData(f"expected {count} pixel bytes, found {found}")
+        samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1)
     else:
         samples = _p2_samples(data, pos, count)
     if samples.max() > maxval:
@@ -227,7 +226,7 @@ def pgm_header(img: np.ndarray) -> bytes:
 def write_pgm(img: np.ndarray) -> bytes:
     """Serialize a grayscale image as canonical binary PGM (P5)."""
     img = as_gray(img)
-    return pgm_header(img) + img.tobytes()
+    return b"".join((pgm_header(img), np.ascontiguousarray(img)))  # copies img only out of C order
 
 
 def load_pgm(path) -> np.ndarray:

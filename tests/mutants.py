@@ -136,4 +136,40 @@ MUTANTS = [
         ("test_rle.py::test_decode_length_mismatch",),
         "`RunLengthStream.__post_init__` checks run lengths as given, before the int64 cast",
     ),
+    Mutant(
+        "image.py",
+        "np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1)",
+        "np.frombuffer(data[pos + 1 :], dtype=np.uint8, count=count)",
+        ("test_memory.py::test_read_p5_peak_memory_per_pixel",),
+        "Hold each raster and container once:",
+    ),
+    Mutant(
+        "image.py",
+        "np.ascontiguousarray(img)",
+        "img.tobytes()",
+        ("test_memory.py::test_write_pgm_peak_memory_per_pixel",),
+        "Hold each raster and container once:",
+    ),
+    Mutant(
+        "cli.py",
+        "save_pgm(args.out, rle_decode(deserialize(Path(args.infile).read_bytes())))",
+        "container = Path(args.infile).read_bytes(); "
+        "save_pgm(args.out, rle_decode(deserialize(container)))",
+        ("test_memory.py::test_decompress_peak_memory_per_pixel",),
+        "Hold each raster and container once:",
+    ),
+    Mutant(
+        "image.py",
+        "if maxval < 1:",
+        "if False:",
+        ("test_cli.py::test_refusal_prints_one_error_line_and_leaves_no_file",),
+        "Two `read_pgm` refusals are now named by a test",
+    ),
+    Mutant(
+        "image.py",
+        "if pos >= len(data) or data[pos] not in _WHITESPACE:",
+        "if False:",
+        ("test_cli.py::test_refusal_prints_one_error_line_and_leaves_no_file",),
+        "Two `read_pgm` refusals are now named by a test",
+    ),
 ]

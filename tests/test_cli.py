@@ -378,6 +378,17 @@ REFUSALS = [
         bad=b"P5\n4 4\n255\n\x00\x00",
     ),
     refusal(
+        "extract-zero-maxval", 10, "MalformedHeader", "invalid maxval 0",
+        "extract", "--in", "{bad}", "--out", "{out}",
+        bad=b"P5 1 1 0\n\x00",
+    ),
+    refusal(
+        "extract-p5-without-delimiter", 10, "MalformedHeader",
+        "missing delimiter before binary raster",
+        "extract", "--in", "{bad}", "--out", "{out}",
+        bad=b"P5 1 1 255",  # the file ends where the raster's delimiter should be
+    ),
+    refusal(
         "extract-unsupported-maxval", 12, "UnsupportedMaxval", "maxval 65535 exceeds 255",
         "extract", "--in", "{wide}", "--out", "{out}",
         wide=b"P5 1 1 65535\n\x00\x00",
