@@ -27,7 +27,7 @@ import numpy as np
 from .errors import MalformedHeader, PixelBudgetExceeded, RectOutOfBounds, TruncatedData
 from .errors import UnsupportedMaxval
 
-MAX_PIXELS = 2**28  # 256 MiB of uint8, as Pillow's MAX_IMAGE_PIXELS
+MAX_PIXELS = 2**28  # 256 MiB of uint8; Pillow's MAX_IMAGE_PIXELS is a third: 2**28 // 3
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\n]*")
@@ -142,23 +142,19 @@ def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         data, pos = _COMMENT.sub(b"", data[pos:]), 0
     # each sample takes a digit and a separator, so text, not the header, sizes this
     samples = np.empty(min(count, (len(data) - pos + 1) // 2), dtype=np.uint16)
-    # a block and the 3 separators before it and 1 after: no sample runs into or out of it
-    window = np.full(min(len(data) - pos, _BLOCK + 321) + 4, _SPACE, dtype=np.uint8)
     filled = 0
     while filled < count and pos < len(data):
         # run on through up to 320 digits and the byte after them, so the block ends where a
         # sample ends and needs no byte of the one before; a 321st digit makes it too long
         head = data[pos + _BLOCK : pos + _BLOCK + 320]
         end = min(pos + _BLOCK + len(head) - len(head.lstrip(b"0123456789")) + 1, len(data))
-        block = end - pos
-        cls = window[: block + 4]
-        cls[3:-1] = np.frombuffer(data[pos:end].translate(_CLASS), dtype=np.uint8)
-        cls[-1] = _SPACE
+        # the block and 3 separators before it and 1 after: no sample runs into or out of it
+        cls = np.frombuffer((b"   " + data[pos:end] + b" ").translate(_CLASS), dtype=np.uint8)
         is_digit = np.less(cls, _SPACE)
         # a sample ends at a digit before a non-digit; indices are into the block
         ends = np.flatnonzero(np.greater(is_digit[3:-1], is_digit[4:]))[: count - filled]
         # check the block through the byte after the last sample it must give
-        stop = int(ends[-1]) + 2 if ends.size == count - filled else block + 1
+        stop = int(ends[-1]) + 2 if ends.size == count - filled else len(cls) - 3
         # indices into cls of the digits with three digits after them: the early digits
         run = is_digit[:stop] & is_digit[1 : stop + 1] & is_digit[2 : stop + 2]
         early = np.flatnonzero(run & is_digit[3 : stop + 3])
@@ -168,11 +164,11 @@ def _p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
             for token in _TOKEN.finditer(data, pos):  # one of them is refused
                 _header_int(token[1], "pixel")
         digits = np.multiply(cls, is_digit, dtype=np.uint8)  # whitespace reads as 0
-        value = np.multiply(digits[1 : block + 1], is_digit[2 : block + 2], dtype=np.uint16)
+        value = np.multiply(digits[1:-3], is_digit[2:-2], dtype=np.uint16)
         value *= np.uint16(10)
-        value += digits[2 : block + 2]
+        value += digits[2:-2]
         value *= np.uint16(10)
-        value += digits[3 : block + 3]
+        value += digits[3:-1]
         taken = samples[filled : filled + ends.size]
         np.take(value, ends, out=taken, mode="clip")  # "raise" would buffer out; ends fit value
         if early.size:  # a nonzero early digit makes its sample 1000 or more, above any maxval

@@ -172,4 +172,25 @@ MUTANTS = [
         ("test_cli.py::test_refusal_prints_one_error_line_and_leaves_no_file",),
         "Two `read_pgm` refusals are now named by a test",
     ),
+    Mutant(
+        "image.py",
+        'data[pos:end] + b" ")',
+        "data[pos:end])",
+        ("test_image.py::test_read_p2_edge_cases",),
+        "No state crosses a P2 block:",
+    ),
+    Mutant(
+        "rle.py",
+        "@dataclass(frozen=True, eq=False)",
+        "@dataclass(eq=False)",
+        ("test_rle.py::test_stream_cannot_change_after_it_is_checked",),
+        "MENDED: `src/stegrle/rle.py` `RunLengthStream` is checked only when it is built",
+    ),
+    Mutant(
+        "rle.py",
+        "view.flags.writeable = False",
+        "pass",
+        ("test_rle.py::test_stream_cannot_change_after_it_is_checked",),
+        "MENDED: `src/stegrle/rle.py` `RunLengthStream` is checked only when it is built",
+    ),
 ]
